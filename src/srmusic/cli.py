@@ -26,7 +26,13 @@ from srmusic.harness import (
     run_experiment,
     save_records,
 )
-from srmusic.music import load_measurements, match_supports, music_estimate, save_measurements
+from srmusic.music import (
+    UnderdeterminedPeaksError,
+    load_measurements,
+    match_supports,
+    music_estimate,
+    save_measurements,
+)
 from srmusic.noise import NOISE_KINDS
 from srmusic.torus import (
     ClumpSpec,
@@ -304,7 +310,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, UnderdeterminedPeaksError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -31,7 +31,6 @@ from srmusic.bounds import (
 )
 from srmusic.fourier import hankel, sigma_min, spectral_norm, svd_split, vandermonde
 from srmusic.music import (
-    UnderdeterminedPeaksError,
     correlation_sup_diff,
     match_supports,
     music_estimate,
@@ -524,9 +523,6 @@ def _run_phase_transition(config: ExperimentConfig, jobs: int) -> list[Experimen
             err = match_supports(support, estimate.recovered)
             record.matched_error = err
             record.success = bool(err < alpha / (2.0 * M))
-        except UnderdeterminedPeaksError as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-            record.success = False
         except Exception as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             record.success = False

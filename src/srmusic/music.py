@@ -7,6 +7,13 @@ that peaks merged on the grid come apart, and returns the S largest of the
 resulting maxima, optionally polished by golden-section search. A
 perturbation report compares the observed sup-norm change of R against the
 Wedin-type bound.
+
+The estimator works from the signal space U_S alone. [U_S | W] is unitary,
+so R(omega)^2 = 1 - ||U_S* phi_L(omega)||^2 / (L+1) (the MUSIC
+pseudo-spectrum identity): one zero-padded FFT of the S signal columns
+gives R at every grid node. That difference cancels where R is near zero,
+so the hills, the refinement and the reported peak values use the residual
+||phi_L - U_S U_S* phi_L|| / sqrt(L+1), which is as accurate as the W form.
 """
 
 from __future__ import annotations
@@ -15,7 +22,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -135,6 +144,48 @@ def imaging_function(W: np.ndarray, omega) -> float | np.ndarray:
         )
 
 
+def _signal_correlation(U: np.ndarray, U_h: np.ndarray, omega) -> float | np.ndarray:
+    """R from the signal space: ||phi_L - U_S U_S* phi_L|| / sqrt(L+1).
+
+    U_h is U.conj().T, taken once by the caller. Equals noise_correlation of
+    the complementary noise space, to rounding, at O(L*S) per position.
+    Accepts a scalar or an array of positions.
+    """
+    scalar = np.isscalar(omega)
+    om = np.atleast_1d(np.asarray(omega, dtype=float))
+    rows = U.shape[0]
+    phi = _steering(rows, om)
+    vals = np.linalg.norm(phi - U @ (U_h @ phi), axis=0) / math.sqrt(rows)
+    vals = np.minimum(vals, 1.0)
+    return float(vals[0]) if scalar else vals
+
+
+def _steering(rows: int, om: np.ndarray) -> np.ndarray:
+    """Columns phi_L(omega) = exp(-2 pi i l omega), l < rows, one per position.
+
+    Row l = B*q + r is exp(-2 pi i B q omega) * exp(-2 pi i r omega), so a
+    column takes about 2*sqrt(rows) complex exponentials instead of rows;
+    the product adds one rounding to the phase error of the direct form.
+    """
+    B = math.isqrt(rows - 1) + 1
+    Q = -(-rows // B)
+    coarse = np.exp(-2j * np.pi * np.outer(B * np.arange(Q), om))
+    fine = np.exp(-2j * np.pi * np.outer(np.arange(B), om))
+    return (coarse[:, None, :] * fine[None, :, :]).reshape(Q * B, len(om))[:rows]
+
+
+def _grid_correlation(U_conj: np.ndarray, N: int) -> np.ndarray:
+    """R at the nodes k/N, from one length-N FFT of the conjugated signal space.
+
+    Row k of fft(conj(U_S), n=N) is U_S* phi_L(k/N). The form
+    sqrt(1 - ||U_S* phi_L||^2/(L+1)) loses precision where R is near zero
+    (it floors near 1e-8), which still orders the grid maxima.
+    """
+    coeffs = np.fft.fft(U_conj, n=N, axis=0)
+    energy = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1) / U_conj.shape[0]
+    return np.sqrt(np.clip(1.0 - energy, 0.0, 1.0))
+
+
 def _circular_local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
     """Index ranges (start, length) of circular local maxima, plateau aware.
 
@@ -142,24 +193,15 @@ def _circular_local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
     runs are strictly lower. A constant array has no maxima.
     """
     n = len(values)
-    change = np.nonzero(values != np.roll(values, 1))[0]
-    if len(change) == 0:
+    starts = np.flatnonzero(values != np.roll(values, 1))
+    if len(starts) == 0:
         return []
-    starts = change
-    maxima = []
-    k = len(starts)
-    for i in range(k):
-        start = starts[i]
-        nxt = starts[(i + 1) % k]
-        length = (nxt - start) % n
-        if length == 0:
-            length = n
-        prev_val = values[(start - 1) % n]
-        next_val = values[nxt]
-        v = values[start]
-        if v > prev_val and v > next_val:
-            maxima.append((int(start), int(length)))
-    return maxima
+    nxt = np.roll(starts, -1)
+    lengths = (nxt - starts) % n
+    lengths[lengths == 0] = n
+    v = values[starts]
+    is_max = (v > values[starts - 1]) & (v > values[nxt])
+    return [(int(a), int(k)) for a, k in zip(starts[is_max], lengths[is_max])]
 
 
 def music_estimate(
@@ -180,6 +222,10 @@ def music_estimate(
     candidates are returned: on their fine sample, or with refine polished
     by golden-section search between their fine neighbors. Raises
     UnderdeterminedPeaksError when fewer than S candidates are found.
+
+    Only the signal space is used: the grid R comes from one FFT of its S
+    columns, and the hills, refinement and peak values from the residual
+    form, which matches noise_correlation to rounding.
     """
     y = np.asarray(y, dtype=complex)
     M = len(y) - 1
@@ -194,12 +240,12 @@ def music_estimate(
     if N < MIN_GRID_FACTOR * M:
         raise ValueError(f"grid resolution {N} below {MIN_GRID_FACTOR}*M = {MIN_GRID_FACTOR * M}")
 
-    split = svd_split(hankel(y, L), S)
-    W = split.noise_space
-    nodes = np.arange(N) / N
-    values_r = np.asarray(noise_correlation(W, nodes))
+    U = svd_split(hankel(y, L), S).signal_space
+    U_conj = U.conj()
+    correlation = partial(_signal_correlation, U, U_conj.T)
+    values_r = _grid_correlation(U_conj, N)
     with np.errstate(divide="ignore"):
-        values_j = np.where(values_r == 0.0, np.inf, 1.0 / values_r)
+        values_j = 1.0 / values_r
     grid = ImagingGrid(resolution=N, values_R=values_r, values_J=values_j)
 
     peaks = []
@@ -214,7 +260,8 @@ def music_estimate(
     for _, _, start, length in peaks[:S]:
         lo, hi = _hill(values_j, start, length)
         fine = (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
-        fine_j = np.asarray(imaging_function(W, fine % 1.0))
+        with np.errstate(divide="ignore"):
+            fine_j = 1.0 / correlation(fine % 1.0)
         last = len(fine) - 1
         threshold = (1.0 + PEAK_RTOL) * max(fine_j[0], fine_j[last])
         for a, k in _circular_local_maxima(fine_j):
@@ -230,8 +277,9 @@ def music_estimate(
     peak_values = []
     for val, w, lo, hi in candidates[:S]:
         if refine:
-            w = _refine_peak(W, lo, hi)
-            val = imaging_function(W, w % 1.0)
+            w = _refine_peak(correlation, lo, hi)
+            r = correlation(w % 1.0)
+            val = math.inf if r == 0.0 else 1.0 / r
         positions.append(w % 1.0)
         peak_values.append(float(val))
 
@@ -256,25 +304,26 @@ def _hill(values: np.ndarray, start: int, length: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _refine_peak(W: np.ndarray, lo: float, hi: float) -> float:
+def _refine_peak(correlation: Callable[[float], float], lo: float, hi: float) -> float:
     """Golden-section maximization of J (= minimization of R) on [lo, hi].
 
-    Works in unwrapped coordinates, so a bracket may straddle the 0/1 cut.
+    correlation maps a position in [0, 1) to R. Works in unwrapped
+    coordinates, so a bracket may straddle the 0/1 cut.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = noise_correlation(W, c % 1.0)
-    fd = noise_correlation(W, d % 1.0)
+    fc = correlation(c % 1.0)
+    fd = correlation(d % 1.0)
     for _ in range(REFINE_ITERS):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
-            fc = noise_correlation(W, c % 1.0)
+            fc = correlation(c % 1.0)
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = noise_correlation(W, d % 1.0)
+            fd = correlation(d % 1.0)
     return (a + b) / 2.0
 
 
@@ -378,4 +427,8 @@ def load_measurements(path) -> np.ndarray:
     indices = [int(r[0]) for r in rows]
     if indices != list(range(len(rows))):
         raise ValueError("measurement indices must be 0..M without gaps")
-    return np.array([complex(r[1], r[2]) for r in rows])
+    y = np.array([complex(r[1], r[2]) for r in rows])
+    bad = np.flatnonzero(~np.isfinite(y))
+    if len(bad):
+        raise ValueError(f"measurement {int(bad[0])} is not finite: {y[bad[0]]}")
+    return y

@@ -120,6 +120,24 @@ class TestMusic:
         save_measurements(np.ones(11, dtype=complex), meas)
         assert main(["music", "--input", str(meas), "--out", str(tmp_path / "r")]) == 1
 
+    def test_too_few_peaks_exit_two(self, tmp_path, capsys):
+        meas = tmp_path / "y.csv"
+        save_measurements(np.zeros(101, dtype=complex), meas)
+        assert main(["music", "--input", str(meas), "--S", "1",
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["numerical failure: found 0 local maxima of the imaging function, need 1"]
+
+    def test_non_finite_measurement_exit_one(self, tmp_path, capsys):
+        y = np.ones(101, dtype=complex)
+        y[7] = complex(np.nan, 0.0)
+        y[40] = complex(0.0, np.inf)
+        meas = tmp_path / "y.csv"
+        save_measurements(y, meas)
+        assert main(["music", "--input", str(meas), "--S", "1",
+                     "--out", str(tmp_path / "r")]) == 1
+        assert "measurement 7 is not finite" in capsys.readouterr().err
+
     def test_rejects_both_sources(self, tmp_path, two_point_synth):
         meas = tmp_path / "y.csv"
         save_measurements(np.ones(11, dtype=complex), meas)

@@ -1,15 +1,21 @@
 import itertools
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from srmusic.fourier import TAU_RANK, hankel, spectral_norm, svd_split, vandermonde
 from srmusic.music import (
+    HILL_OVERSAMPLING,
+    PEAK_RTOL,
     UnderdeterminedPeaksError,
     _circular_local_maxima,
+    _hill,
+    _refine_peak,
+    _signal_correlation,
     correlation_sup_diff,
     imaging_function,
     load_measurements,
@@ -32,6 +38,71 @@ def well_separated_support(rng, S, M, factor=3.0):
 
 def noise_space(y, S, L):
     return svd_split(hankel(y, L), S).noise_space
+
+
+def circular_local_maxima_loop(values):
+    """Reference for _circular_local_maxima: one Python step per change point."""
+    n = len(values)
+    starts = np.nonzero(values != np.roll(values, 1))[0]
+    if len(starts) == 0:
+        return []
+    maxima = []
+    k = len(starts)
+    for i in range(k):
+        start = starts[i]
+        nxt = starts[(i + 1) % k]
+        length = (nxt - start) % n
+        if length == 0:
+            length = n
+        v = values[start]
+        if v > values[(start - 1) % n] and v > values[nxt]:
+            maxima.append((int(start), int(length)))
+    return maxima
+
+
+def dense_reference_estimate(y, S, L, N):
+    """Refined MUSIC positions with R from the noise space W at every step.
+
+    The dense grid scan, the hill resampling and golden-section search of
+    music_estimate, all evaluated with noise_correlation.
+    """
+    correlation = partial(noise_correlation, noise_space(y, S, L))
+    j = 1.0 / correlation(np.arange(N) / N)
+    peaks = sorted(
+        (-j[(a + (k - 1) // 2) % N], (a + (k - 1) // 2) % N, a, k)
+        for a, k in circular_local_maxima_loop(j)
+    )
+    candidates = []
+    for _, _, start, length in peaks[:S]:
+        lo, hi = _hill(j, start, length)
+        fine = (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
+        fine_j = 1.0 / correlation(fine % 1.0)
+        last = len(fine) - 1
+        threshold = (1.0 + PEAK_RTOL) * max(fine_j[0], fine_j[last])
+        for a, k in circular_local_maxima_loop(fine_j):
+            m = a + (k - 1) // 2
+            if a > 0 and a + k <= last and fine_j[m] > threshold:
+                candidates.append((-fine_j[m], fine[m] % 1.0, fine[a - 1], fine[a + k]))
+    candidates.sort()
+    return [_refine_peak(correlation, lo, hi) % 1.0 for _, _, lo, hi in candidates[:S]]
+
+
+def noisy_measurements(points, M, sigma, seed):
+    rng = np.random.default_rng(seed)
+    x = np.exp(2j * np.pi * rng.uniform(size=len(points)))
+    half = sigma / math.sqrt(2.0)
+    y = vandermonde(SupportSet(points), M).entries @ x
+    return y + rng.normal(0.0, half, M + 1) + 1j * rng.normal(0.0, half, M + 1)
+
+
+# (points as multiples of 1/M, M, L, N): odd and even L, N not a power of
+# two, and a close pair straddling the 0/1 cut.
+FAST_PATH_CASES = [
+    ((-0.3, 0.4, 40.0), 100, 50, 803),
+    ((-0.3, 0.4, 40.0), 100, 49, 1000),
+    ((10.0, 10.5, 61.0, 130.0), 160, 81, 1291),
+    ((-0.25, 0.08, 95.0), 200, 100, 1600),
+]
 
 
 class TestNoiseCorrelation:
@@ -113,6 +184,49 @@ class TestCircularLocalMaxima:
 
     def test_constant_has_none(self):
         assert _circular_local_maxima(np.ones(10)) == []
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]),
+                    min_size=1, max_size=40))
+    @example([2.0, 2.0, 0.0, 1.0, 2.0])  # plateau wrapping around the end
+    @example([math.nan])
+    @example([math.inf] * 5)
+    @example([1.0, math.nan, 1.0, 1.0])
+    @settings(max_examples=500, deadline=None)
+    def test_matches_loop_reference(self, values):
+        values = np.array(values)
+        assert _circular_local_maxima(values) == circular_local_maxima_loop(values)
+
+
+class TestSignalSpaceFastPaths:
+    """The signal-space paths of music_estimate against the noise-space form."""
+
+    @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
+    def test_fft_grid_matches_dense_scan(self, points, M, L, N):
+        y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.05, seed=M + L)
+        est = music_estimate(y, S=len(points), L=L, N=N)
+        dense = noise_correlation(noise_space(y, len(points), L), np.arange(N) / N)
+        assert np.max(np.abs(est.grid.values_R - dense)) <= 1e-10
+
+    @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_residual_form_matches_noise_form(self, points, M, L, N, sigma):
+        support = [(p / M) % 1.0 for p in points]
+        y = noisy_measurements(support, M, sigma, seed=M + L)
+        split = svd_split(hankel(y, L), len(points))
+        U = split.signal_space
+        omegas = np.concatenate([support, np.random.default_rng(M).uniform(size=200)])
+        fast = _signal_correlation(U, U.conj().T, omegas)
+        dense = noise_correlation(split.noise_space, omegas)
+        assert np.max(np.abs(fast - dense)) <= 1e-12
+        assert _signal_correlation(U, U.conj().T, support[0]) == pytest.approx(
+            float(dense[0]), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
+    def test_refined_estimate_matches_dense_reference(self, points, M, L, N):
+        y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.05, seed=M + L)
+        est = music_estimate(y, S=len(points), L=L, N=N, refine=True)
+        ref = SupportSet(dense_reference_estimate(y, len(points), L, N))
+        assert match_supports(ref, est.recovered) <= 1e-8
 
 
 class TestMusicEstimate:
@@ -326,6 +440,16 @@ class TestMeasurementIO:
         path = tmp_path / name
         save_measurements(y, path)
         assert np.allclose(load_measurements(path), y, atol=0, rtol=0)
+
+    @pytest.mark.parametrize("name", ["y.csv", "y.json"])
+    def test_rejects_non_finite(self, tmp_path, name):
+        y = np.ones(12, dtype=complex)
+        y[3] = complex(math.inf, 0.0)
+        y[8] = complex(0.0, math.nan)
+        path = tmp_path / name
+        save_measurements(y, path)
+        with pytest.raises(ValueError, match="measurement 3 is not finite"):
+            load_measurements(path)
 
     def test_gap_detection(self, tmp_path):
         path = tmp_path / "y.csv"
