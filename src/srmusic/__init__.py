@@ -24,14 +24,11 @@ from srmusic.fourier import (
     HankelMatrix,
     HankelSvd,
     vandermonde,
-    steering_vector,
     hankel,
     svd_split,
     sigma_min,
     sigma_max,
     spectral_norm,
-    save_matrix_txt,
-    load_matrix_txt,
 )
 from srmusic.bounds import (
     ClumpBoundTerms,
@@ -47,7 +44,6 @@ from srmusic.music import (
     PerturbationReport,
     UnderdeterminedPeaksError,
     noise_correlation,
-    imaging_function,
     music_estimate,
     correlation_sup_diff,
     wedin_bound,
@@ -58,6 +54,7 @@ from srmusic.music import (
 from srmusic.noise import (
     NoiseSpec,
     ConcentrationReport,
+    draw_noise,
     sample_noise,
     concentration_constant,
     expectation_bound,

@@ -33,7 +33,7 @@ from srmusic.music import (
     music_estimate,
     save_measurements,
 )
-from srmusic.noise import NOISE_KINDS
+from srmusic.noise import draw_noise
 from srmusic.torus import (
     ClumpSpec,
     SupportSet,
@@ -41,6 +41,9 @@ from srmusic.torus import (
     min_separation,
     super_resolution_factor,
 )
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class CliUsageError(Exception):
@@ -63,6 +66,8 @@ def _write_manifest(out_dir: Path, subcommand: str, options: dict, outputs: list
         "options": options,
         "seed": options.get("seed"),
         "outputs": outputs,
+        # Results can depend on the BLAS thread count in the last bits.
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
     }
     if config is not None:
         manifest["config"] = config
@@ -145,16 +150,8 @@ def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
     x = amp.sample(rng, support.size)
     sigma = args.sigma if args.sigma is not None else spec.get("sigma", 0.0)
     kind = spec.get("noise_kind", "complex-circular")
-    if kind not in NOISE_KINDS:
-        raise ValueError(f"noise_kind must be one of {NOISE_KINDS}")
     y = vandermonde(support, M).entries @ x
-    if sigma > 0:
-        if kind == "real":
-            y = y + rng.normal(0.0, sigma, M + 1)
-        else:
-            half = sigma / np.sqrt(2.0)
-            y = y + rng.normal(0.0, half, M + 1) + 1j * rng.normal(0.0, half, M + 1)
-    return y, support, M
+    return y + draw_noise(rng, sigma, kind, M), support, M
 
 
 def _cmd_music(args) -> int:

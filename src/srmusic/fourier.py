@@ -1,15 +1,14 @@
-"""Fourier/Vandermonde matrices, steering vectors, Hankel matrices, SVD splits.
+"""Fourier/Vandermonde matrices, Hankel matrices, SVD splits.
 
-All spectral quantities come from full dense SVDs; at desk scale (M up to a
-few thousand) this is affordable and removes approximation error from the
-bound checks.
+All spectral quantities come from dense SVDs (thin where singular vectors
+are needed); at desk scale (M up to a few thousand) this is affordable and
+removes approximation error from the bound checks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -56,15 +55,14 @@ class HankelMatrix:
 
 @dataclass(frozen=True)
 class HankelSvd:
-    """SVD of a Hankel matrix split into signal and noise left subspaces.
+    """Signal subspace of a Hankel matrix at rank S.
 
-    signal_space has the top-S left singular vectors, noise_space the
-    remaining L+1-S; together they form a unitary basis of C^(L+1).
+    signal_space has the top-S left singular vectors as orthonormal
+    columns; its orthogonal complement in C^(L+1) is the noise space.
     singular_values holds the full set, nonincreasing.
     """
 
     signal_space: np.ndarray
-    noise_space: np.ndarray
     singular_values: np.ndarray
 
 
@@ -81,13 +79,6 @@ def vandermonde(omega: SupportSet, M: int) -> FourierMatrix:
     return FourierMatrix(entries=entries, nodes=omega, M=M)
 
 
-def steering_vector(omega: float, L: int) -> np.ndarray:
-    """Column (1, e^{-2*pi*i*omega}, ..., e^{-2*pi*i*L*omega}), norm sqrt(L+1)."""
-    if L < 0:
-        raise ValueError("L must be nonnegative")
-    return np.exp(-2j * np.pi * np.arange(L + 1) * omega)
-
-
 def hankel(y: np.ndarray, L: int) -> HankelMatrix:
     """Hankel matrix of a measurement vector y of length M+1."""
     y = np.asarray(y)
@@ -99,7 +90,7 @@ def hankel(y: np.ndarray, L: int) -> HankelMatrix:
 
 
 def svd_split(H: HankelMatrix, S: int) -> HankelSvd:
-    """Full SVD of a Hankel matrix, left subspace split at rank S."""
+    """Thin SVD of a Hankel matrix, left subspace split at rank S."""
     L = H.L
     rows, cols = H.entries.shape
     if not (0 <= S <= min(rows, cols)):
@@ -107,16 +98,12 @@ def svd_split(H: HankelMatrix, S: int) -> HankelSvd:
     if S > L:
         raise ValueError(f"S = {S} leaves no noise space for L = {L}")
     try:
-        u, s, _ = np.linalg.svd(H.entries, full_matrices=True)
+        u, s, _ = np.linalg.svd(H.entries, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed on a {rows}x{cols} Hankel matrix: {exc}"
         ) from exc
-    return HankelSvd(
-        signal_space=u[:, :S],
-        noise_space=u[:, S:],
-        singular_values=s,
-    )
+    return HankelSvd(signal_space=u[:, :S], singular_values=s)
 
 
 def _singular_values(matrix) -> np.ndarray:
@@ -142,26 +129,3 @@ def sigma_max(matrix) -> float:
 def spectral_norm(matrix) -> float:
     """Operator 2-norm, identical to sigma_max."""
     return sigma_max(matrix)
-
-
-def save_matrix_txt(matrix, path) -> None:
-    """Write a complex matrix as text: a dims header, then one re,im per line.
-
-    Entries are row-major; floats use repr so a round trip is exact.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for v in a.ravel():
-        lines.append(f"{float(v.real)!r},{float(v.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_matrix_txt(path) -> np.ndarray:
-    """Read a matrix written by save_matrix_txt."""
-    lines = Path(path).read_text().splitlines()
-    rows, cols = (int(t) for t in lines[0].split())
-    vals = np.empty(rows * cols, dtype=complex)
-    for k, line in enumerate(lines[1 : 1 + rows * cols]):
-        re_s, im_s = line.split(",")
-        vals[k] = complex(float(re_s), float(im_s))
-    return vals.reshape(rows, cols)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -37,12 +36,12 @@ from srmusic.music import (
     wedin_bound,
 )
 from srmusic.noise import (
+    NOISE_KINDS,
     ConcentrationReport,
     NoiseSpec,
-    expectation_bound,
+    concentration_report,
+    draw_noise,
     sample_noise,
-    tail_bound,
-    wilson_interval,
 )
 from srmusic.torus import ClumpSpec, generate_clumps
 
@@ -131,6 +130,10 @@ class ExperimentConfig:
             raise ValueError("trials_per_cell must be at least 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
+        if not all(s >= 0 for s in self.sigmas):
+            raise ValueError(f"sigmas must be nonnegative, got {list(self.sigmas)}")
+        if self.noise_kind not in NOISE_KINDS:
+            raise ValueError(f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
         missing = []
         if self.kind in ("sigma-min-sweep", "upper-bound-sweep", "phase-transition",
                          "perturbation-check"):
@@ -262,16 +265,6 @@ def _cell_seed(base_seed: int, ia: int, isig: int, trial: int) -> tuple:
 
 def _seed_str(seed: tuple) -> str:
     return "-".join(str(v) for v in seed)
-
-
-def _draw_noise(rng: np.random.Generator, sigma: float, kind: str, M: int) -> np.ndarray:
-    """Noise drawn from an existing per-cell stream (same law as sample_noise)."""
-    if sigma == 0.0:
-        return np.zeros(M + 1, dtype=complex)
-    if kind == "real":
-        return rng.normal(0.0, sigma, M + 1).astype(complex)
-    half = sigma / math.sqrt(2.0)
-    return rng.normal(0.0, half, M + 1) + 1j * rng.normal(0.0, half, M + 1)
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRecord]:
@@ -430,10 +423,10 @@ def _run_perturbation_check(config: ExperimentConfig, jobs: int) -> list[Experim
             support, _ = generate_clumps(spec, seed=rng)
             x = config.amplitude_model.sample(rng, S)
             y0 = vandermonde(support, M).entries @ x
-            eta = _draw_noise(rng, sigma, config.noise_kind, M)
-            w_clean = svd_split(hankel(y0, L), S).noise_space
-            w_noisy = svd_split(hankel(y0 + eta, L), S).noise_space
-            sup = correlation_sup_diff(w_clean, w_noisy, N)
+            eta = draw_noise(rng, sigma, config.noise_kind, M)
+            u_clean = svd_split(hankel(y0, L), S).signal_space
+            u_noisy = svd_split(hankel(y0 + eta, L), S).signal_space
+            sup = correlation_sup_diff(u_clean, u_noisy, N)
             report = wedin_bound(
                 hankel_noise_norm=spectral_norm(hankel(eta, L)),
                 x_min=float(np.min(np.abs(x))),
@@ -518,7 +511,7 @@ def _run_phase_transition(config: ExperimentConfig, jobs: int) -> list[Experimen
             support, _ = generate_clumps(replace(spec, alpha=alpha), seed=rng)
             x = config.amplitude_model.sample(rng, S)
             y = vandermonde(support, M).entries @ x
-            y = y + _draw_noise(rng, sigma, config.noise_kind, M)
+            y = y + draw_noise(rng, sigma, config.noise_kind, M)
             estimate = music_estimate(y, S=S, L=L, N=N, refine=True)
             err = match_supports(support, estimate.recovered)
             record.matched_error = err
@@ -606,29 +599,13 @@ def concentration_summary(
     records: Sequence[ExperimentRecord], config: ExperimentConfig
 ) -> list[ConcentrationReport]:
     """Per-sigma concentration reports from recorded Hankel noise norms."""
-    M, L = config.M, config.L
-    reports = []
-    for sigma in config.sigmas:
-        norms = np.array([r.hankel_norm for r in records if r.sigma == sigma])
-        bound = expectation_bound(sigma, M, L)
-        t = 1.2 * bound
-        exceed = int(np.sum(norms >= t))
-        reports.append(
-            ConcentrationReport(
-                trials=len(norms),
-                empirical_mean_norm=float(norms.mean()),
-                expectation_bound=bound,
-                tail_t=t,
-                empirical_tail_prob=exceed / len(norms),
-                tail_bound=tail_bound(t, sigma, M, L),
-                kind=config.noise_kind,
-                sigma=sigma,
-                M=M,
-                L=L,
-                tail_wilson=wilson_interval(exceed, len(norms)),
-            )
+    return [
+        concentration_report(
+            np.array([r.hankel_norm for r in records if r.sigma == sigma]),
+            sigma, config.M, config.L, config.noise_kind,
         )
-    return reports
+        for sigma in config.sigmas
+    ]
 
 
 _PERTURBATION_COLUMNS = (

@@ -8,12 +8,14 @@ resulting maxima, optionally polished by golden-section search. A
 perturbation report compares the observed sup-norm change of R against the
 Wedin-type bound.
 
-The estimator works from the signal space U_S alone. [U_S | W] is unitary,
-so R(omega)^2 = 1 - ||U_S* phi_L(omega)||^2 / (L+1) (the MUSIC
-pseudo-spectrum identity): one zero-padded FFT of the S signal columns
-gives R at every grid node. That difference cancels where R is near zero,
-so the hills, the refinement and the reported peak values use the residual
-||phi_L - U_S U_S* phi_L|| / sqrt(L+1), which is as accurate as the W form.
+R is evaluated from the signal space U_S alone; no noise basis W is
+formed. [U_S | W] is unitary, so R(omega)^2 = 1 - ||U_S* phi_L(omega)||^2
+/ (L+1) (the MUSIC pseudo-spectrum identity): one zero-padded FFT of the S
+signal columns gives R at every grid node, for the imaging scan and for
+the sup-norm comparison. That difference cancels where R is near zero, so
+the hills, the refinement and the reported peak values use the residual
+||phi_L - U_S U_S* phi_L|| / sqrt(L+1) (noise_correlation), which is as
+accurate as ||W* phi_L|| / sqrt(L+1).
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ HILL_OVERSAMPLING = 16
 # A candidate peak must rise above both edges of its hill by more than this
 # relative amount; smaller bumps are rounding noise on a flat J.
 PEAK_RTOL = 1e-12
+# The FFT form of R errs by about 1e-15/R, so below this value a grid R is
+# recomputed with the residual form before two curves are compared.
+FFT_R_FLOOR = 1e-3
 
 
 class UnderdeterminedPeaksError(RuntimeError):
@@ -119,43 +124,20 @@ class PerturbationReport:
     x_min: float
 
 
-def noise_correlation(W: np.ndarray, omega) -> float | np.ndarray:
-    """Normalized projection of the steering vector onto the noise space.
+def noise_correlation(U: np.ndarray, omega) -> float | np.ndarray:
+    """Noise-space correlation R from the signal space U_S.
 
-    ||W* phi_L(omega)|| / sqrt(L+1), in [0, 1]. Zero exactly on the true
-    support in the noiseless case. Accepts a scalar or an array of
-    positions.
-    """
-    scalar = np.isscalar(omega)
-    om = np.atleast_1d(np.asarray(omega, dtype=float))
-    rows = W.shape[0]
-    phi = np.exp(-2j * np.pi * np.outer(np.arange(rows), om))
-    vals = np.linalg.norm(W.conj().T @ phi, axis=0) / math.sqrt(rows)
-    vals = np.minimum(vals, 1.0)
-    return float(vals[0]) if scalar else vals
-
-
-def imaging_function(W: np.ndarray, omega) -> float | np.ndarray:
-    """Reciprocal of the noise-space correlation; +inf where it vanishes."""
-    r = noise_correlation(W, omega)
-    with np.errstate(divide="ignore"):
-        return np.where(r == 0.0, np.inf, 1.0 / r) if isinstance(r, np.ndarray) else (
-            math.inf if r == 0.0 else 1.0 / r
-        )
-
-
-def _signal_correlation(U: np.ndarray, U_h: np.ndarray, omega) -> float | np.ndarray:
-    """R from the signal space: ||phi_L - U_S U_S* phi_L|| / sqrt(L+1).
-
-    U_h is U.conj().T, taken once by the caller. Equals noise_correlation of
-    the complementary noise space, to rounding, at O(L*S) per position.
-    Accepts a scalar or an array of positions.
+    ||phi_L - U_S U_S* phi_L|| / sqrt(L+1), in [0, 1]: the norm of the part
+    of the steering vector outside span(U_S), which equals ||W* phi_L||
+    for any orthonormal basis W of the noise space. Zero exactly on the
+    true support in the noiseless case. Costs O(L*S) per position and
+    accepts a scalar or an array of positions.
     """
     scalar = np.isscalar(omega)
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     rows = U.shape[0]
     phi = _steering(rows, om)
-    vals = np.linalg.norm(phi - U @ (U_h @ phi), axis=0) / math.sqrt(rows)
+    vals = np.linalg.norm(phi - U @ (U.conj().T @ phi), axis=0) / math.sqrt(rows)
     vals = np.minimum(vals, 1.0)
     return float(vals[0]) if scalar else vals
 
@@ -174,15 +156,15 @@ def _steering(rows: int, om: np.ndarray) -> np.ndarray:
     return (coarse[:, None, :] * fine[None, :, :]).reshape(Q * B, len(om))[:rows]
 
 
-def _grid_correlation(U_conj: np.ndarray, N: int) -> np.ndarray:
+def _grid_correlation(U: np.ndarray, N: int) -> np.ndarray:
     """R at the nodes k/N, from one length-N FFT of the conjugated signal space.
 
     Row k of fft(conj(U_S), n=N) is U_S* phi_L(k/N). The form
     sqrt(1 - ||U_S* phi_L||^2/(L+1)) loses precision where R is near zero
     (it floors near 1e-8), which still orders the grid maxima.
     """
-    coeffs = np.fft.fft(U_conj, n=N, axis=0)
-    energy = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1) / U_conj.shape[0]
+    coeffs = np.fft.fft(U.conj(), n=N, axis=0)
+    energy = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1) / U.shape[0]
     return np.sqrt(np.clip(1.0 - energy, 0.0, 1.0))
 
 
@@ -224,8 +206,8 @@ def music_estimate(
     UnderdeterminedPeaksError when fewer than S candidates are found.
 
     Only the signal space is used: the grid R comes from one FFT of its S
-    columns, and the hills, refinement and peak values from the residual
-    form, which matches noise_correlation to rounding.
+    columns, and the hills, refinement and peak values from
+    noise_correlation.
     """
     y = np.asarray(y, dtype=complex)
     M = len(y) - 1
@@ -241,9 +223,8 @@ def music_estimate(
         raise ValueError(f"grid resolution {N} below {MIN_GRID_FACTOR}*M = {MIN_GRID_FACTOR * M}")
 
     U = svd_split(hankel(y, L), S).signal_space
-    U_conj = U.conj()
-    correlation = partial(_signal_correlation, U, U_conj.T)
-    values_r = _grid_correlation(U_conj, N)
+    correlation = partial(noise_correlation, U)
+    values_r = _grid_correlation(U, N)
     with np.errstate(divide="ignore"):
         values_j = 1.0 / values_r
     grid = ImagingGrid(resolution=N, values_R=values_r, values_J=values_j)
@@ -328,22 +309,27 @@ def _refine_peak(correlation: Callable[[float], float], lo: float, hi: float) ->
 
 
 def correlation_sup_diff(
-    W_clean: np.ndarray, W_noisy: np.ndarray, N: int
+    U_clean: np.ndarray, U_noisy: np.ndarray, N: int
 ) -> float:
     """Grid approximation of sup |R_noisy - R_clean| over the torus.
 
-    Evaluated on the N uniform nodes; the true sup can only be larger by
-    the grid discretization error.
+    Takes the two signal spaces and evaluates both R curves on the N
+    uniform nodes with the FFT of _grid_correlation; nodes where R is below
+    FFT_R_FLOOR (next to a zero of R) are recomputed with noise_correlation.
+    The true sup can only be larger by the grid discretization error.
     """
-    if W_clean.shape[0] != W_noisy.shape[0]:
+    if U_clean.shape[0] != U_noisy.shape[0]:
         raise ValueError(
-            f"noise spaces live in different dimensions: "
-            f"{W_clean.shape[0]} vs {W_noisy.shape[0]}"
+            f"signal spaces live in different dimensions: "
+            f"{U_clean.shape[0]} vs {U_noisy.shape[0]}"
         )
-    nodes = np.arange(N) / N
-    r_clean = np.asarray(noise_correlation(W_clean, nodes))
-    r_noisy = np.asarray(noise_correlation(W_noisy, nodes))
-    return float(np.max(np.abs(r_noisy - r_clean)))
+    curves = []
+    for U in (U_clean, U_noisy):
+        r = _grid_correlation(U, N)
+        low = np.flatnonzero(r < FFT_R_FLOOR)
+        r[low] = noise_correlation(U, low / N)
+        curves.append(r)
+    return float(np.max(np.abs(curves[1] - curves[0])))
 
 
 def wedin_bound(

@@ -19,6 +19,8 @@ from srmusic.bounds import ClumpBoundTerms
 from srmusic.fourier import hankel, spectral_norm
 
 NOISE_KINDS = ("complex-circular", "real")
+# The tail probability is measured at t = TAIL_FACTOR * expectation_bound.
+TAIL_FACTOR = 1.2
 
 
 class ThresholdPreconditionError(ValueError):
@@ -40,18 +42,29 @@ class NoiseSpec:
             raise ValueError(f"kind must be one of {NOISE_KINDS}, got {self.kind!r}")
 
 
-def sample_noise(spec: NoiseSpec, M: int) -> np.ndarray:
-    """Draw a noise vector of length M+1; deterministic given the seed.
+def draw_noise(rng: np.random.Generator, sigma: float, kind: str, M: int) -> np.ndarray:
+    """Draw a noise vector of length M+1 from an existing RNG stream.
 
     real: entries N(0, sigma^2), returned as complex with zero imaginary
     part. complex-circular: real and imaginary parts each N(0, sigma^2/2),
-    so E|eta_m|^2 = sigma^2.
+    so E|eta_m|^2 = sigma^2. sigma = 0 gives zeros without drawing, so the
+    stream is left untouched.
     """
-    rng = np.random.default_rng(spec.seed)
-    if spec.kind == "real":
-        return rng.normal(0.0, spec.sigma, M + 1).astype(complex)
-    half = spec.sigma / math.sqrt(2.0)
+    if not sigma >= 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"kind must be one of {NOISE_KINDS}, got {kind!r}")
+    if sigma == 0:
+        return np.zeros(M + 1, dtype=complex)
+    if kind == "real":
+        return rng.normal(0.0, sigma, M + 1).astype(complex)
+    half = sigma / math.sqrt(2.0)
     return rng.normal(0.0, half, M + 1) + 1j * rng.normal(0.0, half, M + 1)
+
+
+def sample_noise(spec: NoiseSpec, M: int) -> np.ndarray:
+    """Draw a noise vector of length M+1; deterministic given the seed."""
+    return draw_noise(np.random.default_rng(spec.seed), spec.sigma, spec.kind, M)
 
 
 def concentration_constant(M: int, L: int) -> int:
@@ -154,29 +167,18 @@ class ConcentrationReport:
         Path(path).write_text(self.to_json() + "\n")
 
 
-def estimate_concentration(
-    sigma: float,
-    M: int,
-    L: int,
-    kind: str = "real",
-    trials: int = 1000,
-    base_seed: int = 0,
-    tail_factor: float = 1.2,
-) -> tuple[ConcentrationReport, np.ndarray]:
-    """Sample Hankel noise norms and compare with the concentration bounds.
+def concentration_report(
+    norms: np.ndarray, sigma: float, M: int, L: int, kind: str
+) -> ConcentrationReport:
+    """Compare sampled Hankel noise norms with the concentration bounds.
 
-    The tail is evaluated at t = tail_factor * expectation_bound. Trial i
-    uses the seed sequence (base_seed, i), so runs are reproducible and
-    parallel safe. Returns the report and the per-trial norms.
+    The tail is evaluated at t = TAIL_FACTOR * expectation_bound.
     """
-    norms = np.empty(trials)
-    for i in range(trials):
-        spec = NoiseSpec(sigma=sigma, kind=kind, seed=(base_seed, i))
-        norms[i] = spectral_norm(hankel(sample_noise(spec, M), L))
     exp_bound = expectation_bound(sigma, M, L)
-    t = tail_factor * exp_bound
+    t = TAIL_FACTOR * exp_bound
+    trials = len(norms)
     exceed = int(np.sum(norms >= t))
-    report = ConcentrationReport(
+    return ConcentrationReport(
         trials=trials,
         empirical_mean_norm=float(norms.mean()),
         expectation_bound=exp_bound,
@@ -189,4 +191,23 @@ def estimate_concentration(
         L=L,
         tail_wilson=wilson_interval(exceed, trials),
     )
-    return report, norms
+
+
+def estimate_concentration(
+    sigma: float,
+    M: int,
+    L: int,
+    kind: str = "real",
+    trials: int = 1000,
+    base_seed: int = 0,
+) -> tuple[ConcentrationReport, np.ndarray]:
+    """Sample Hankel noise norms and compare with the concentration bounds.
+
+    Trial i uses the seed sequence (base_seed, i), so runs are reproducible
+    and parallel safe. Returns the report and the per-trial norms.
+    """
+    norms = np.empty(trials)
+    for i in range(trials):
+        spec = NoiseSpec(sigma=sigma, kind=kind, seed=(base_seed, i))
+        norms[i] = spectral_norm(hankel(sample_noise(spec, M), L))
+    return concentration_report(norms, sigma, M, L, kind), norms

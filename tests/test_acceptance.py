@@ -200,8 +200,8 @@ def test_criterion_7_wedin_bound_never_violated():
         half = sigma / math.sqrt(2.0)
         eta = rng.normal(0, half, M + 1) + 1j * rng.normal(0, half, M + 1)
         sup = correlation_sup_diff(
-            svd_split(hankel(y0, L), S).noise_space,
-            svd_split(hankel(y0 + eta, L), S).noise_space,
+            svd_split(hankel(y0, L), S).signal_space,
+            svd_split(hankel(y0 + eta, L), S).signal_space,
             16 * M,
         )
         report = wedin_bound(

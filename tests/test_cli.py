@@ -138,6 +138,25 @@ class TestMusic:
                      "--out", str(tmp_path / "r")]) == 1
         assert "measurement 7 is not finite" in capsys.readouterr().err
 
+    def test_negative_sigma_exit_one(self, tmp_path, two_point_synth, capsys):
+        out = tmp_path / "run"
+        assert main(["music", "--synthesize", str(two_point_synth),
+                     "--sigma", "-0.3", "--out", str(out)]) == 1
+        assert "sigma must be nonnegative" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_manifest_records_blas_threads(self, tmp_path, two_point_synth, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "run"
+        assert main(["music", "--synthesize", str(two_point_synth),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+        }
+
     def test_rejects_both_sources(self, tmp_path, two_point_synth):
         meas = tmp_path / "y.csv"
         save_measurements(np.ones(11, dtype=complex), meas)
@@ -184,6 +203,22 @@ class TestCampaigns:
         a = (run_dir / "concentration.csv").read_bytes()
         b = (out2 / config.config_hash() / "concentration.csv").read_bytes()
         assert a == b
+
+    def test_negative_sigma_config_exit_one(self, tmp_path, capsys):
+        config = ExperimentConfig(
+            kind="phase-transition",
+            clump_spec=ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50),
+            alphas=(0.5,),
+            sigmas=(0.1,),
+        ).to_dict()
+        config["sigmas"] = [-0.1]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main(["phase-transition", "--config", str(cfg_path), "--jobs", "1",
+                     "--out", str(out)]) == 1
+        assert "sigmas must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_kind_mismatch_rejected(self, tmp_path):
         config = ExperimentConfig(

@@ -8,12 +8,9 @@ from srmusic.fourier import (
     TAU_ORTH,
     TAU_RANK,
     hankel,
-    load_matrix_txt,
-    save_matrix_txt,
     sigma_max,
     sigma_min,
     spectral_norm,
-    steering_vector,
     svd_split,
     vandermonde,
 )
@@ -50,19 +47,6 @@ class TestVandermonde:
     def test_warns_when_wide(self):
         with pytest.warns(UserWarning, match="rank deficient"):
             vandermonde(SupportSet([0.1, 0.2, 0.3, 0.4]), 2)
-
-
-class TestSteeringVector:
-    def test_zero(self):
-        assert np.allclose(steering_vector(0.0, 2), [1, 1, 1])
-
-    def test_half(self):
-        assert np.allclose(steering_vector(0.5, 3), [1, -1, 1, -1])
-
-    def test_matches_vandermonde_column(self):
-        for omega in (0.13, 0.77):
-            col = vandermonde(SupportSet([omega]), 9).entries[:, 0]
-            assert np.allclose(steering_vector(omega, 9), col)
 
 
 class TestHankel:
@@ -119,11 +103,12 @@ class TestSvdSplit:
         assert split.singular_values[0] == pytest.approx(expected, abs=1e-10)
 
     def test_unitary_basis(self):
+        # The signal columns are orthonormal: part of a unitary basis of C^(L+1).
         rng = np.random.default_rng(2)
         h = hankel(rng.normal(size=21) + 1j * rng.normal(size=21), 8)
-        split = svd_split(h, 3)
-        basis = np.hstack([split.signal_space, split.noise_space])
-        assert np.allclose(basis.conj().T @ basis, np.eye(9), atol=TAU_ORTH)
+        U = svd_split(h, 3).signal_space
+        assert U.shape == (9, 3)
+        assert np.allclose(U.conj().T @ U, np.eye(3), atol=TAU_ORTH)
 
     def test_preconditions(self):
         h = hankel(np.zeros(11, dtype=complex), 5)
@@ -185,19 +170,3 @@ class TestSpectralQuantities:
         for d in np.linspace(1.0, M / 2.0, 25):
             v = sigma_min(vandermonde(SupportSet([0.0, d / M]), M))
             assert v <= math.sqrt(M + 1) + 1e-9
-
-
-class TestMatrixText:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(6)
-        a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        path = tmp_path / "m.txt"
-        save_matrix_txt(a, path)
-        b = load_matrix_txt(path)
-        assert b.shape == (4, 3)
-        assert np.array_equal(a, b)
-
-    def test_header_has_dims(self, tmp_path):
-        path = tmp_path / "m.txt"
-        save_matrix_txt(np.eye(2), path)
-        assert path.read_text().splitlines()[0] == "2 2"

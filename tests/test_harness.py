@@ -74,6 +74,18 @@ class TestExperimentConfig:
                 kind="upper-bound-sweep", clump_spec=pair_spec(), alphas=(0.04,)
             )
 
+    @pytest.mark.parametrize("kind", ["perturbation-check", "concentration", "phase-transition",
+                                      "sigma-min-sweep"])
+    def test_negative_sigma_rejected(self, kind):
+        with pytest.raises(ValueError, match="sigmas must be nonnegative"):
+            ExperimentConfig(kind=kind, clump_spec=pair_spec(), alphas=(0.5,),
+                             sigmas=(0.1, -0.1), M=30, L=15)
+
+    def test_unknown_noise_kind_rejected(self):
+        with pytest.raises(ValueError, match="noise_kind"):
+            ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(),
+                             alphas=(0.5,), sigmas=(0.1,), noise_kind="uniform")
+
     def test_defaults_resolved(self):
         config = ExperimentConfig(
             kind="phase-transition",

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,9 +14,7 @@ from srmusic.music import (
     _circular_local_maxima,
     _hill,
     _refine_peak,
-    _signal_correlation,
     correlation_sup_diff,
-    imaging_function,
     load_measurements,
     match_supports,
     music_estimate,
@@ -36,8 +33,28 @@ def well_separated_support(rng, S, M, factor=3.0):
             return SupportSet(pts)
 
 
-def noise_space(y, S, L):
-    return svd_split(hankel(y, L), S).noise_space
+def signal_space(y, S, L):
+    return svd_split(hankel(y, L), S).signal_space
+
+
+def dense_noise_correlation(U, omega):
+    """Reference R from a noise basis W: ||W* phi_L|| / sqrt(L+1).
+
+    W holds the last columns of a complete QR factor of U, so [U | W] spans
+    C^(L+1) with orthonormal columns.
+    """
+    W = np.linalg.qr(U, mode="complete")[0][:, U.shape[1]:]
+    rows = U.shape[0]
+    phi = np.exp(-2j * np.pi * np.outer(np.arange(rows), np.atleast_1d(omega)))
+    return np.minimum(np.linalg.norm(W.conj().T @ phi, axis=0) / math.sqrt(rows), 1.0)
+
+
+def dense_sup_diff(U_clean, U_noisy, N):
+    """Reference correlation_sup_diff: both curves from dense_noise_correlation."""
+    nodes = np.arange(N) / N
+    return float(np.max(np.abs(
+        dense_noise_correlation(U_noisy, nodes) - dense_noise_correlation(U_clean, nodes)
+    )))
 
 
 def circular_local_maxima_loop(values):
@@ -64,9 +81,14 @@ def dense_reference_estimate(y, S, L, N):
     """Refined MUSIC positions with R from the noise space W at every step.
 
     The dense grid scan, the hill resampling and golden-section search of
-    music_estimate, all evaluated with noise_correlation.
+    music_estimate, all evaluated with dense_noise_correlation.
     """
-    correlation = partial(noise_correlation, noise_space(y, S, L))
+    U = signal_space(y, S, L)
+
+    def correlation(omega):
+        r = dense_noise_correlation(U, omega)
+        return float(r[0]) if np.isscalar(omega) else r
+
     j = 1.0 / correlation(np.arange(N) / N)
     peaks = sorted(
         (-j[(a + (k - 1) // 2) % N], (a + (k - 1) // 2) % N, a, k)
@@ -111,61 +133,67 @@ class TestNoiseCorrelation:
         M, L, S = 60, 30, 3
         support = well_separated_support(rng, S, M)
         x = np.exp(2j * np.pi * rng.uniform(size=S))
-        W = noise_space(vandermonde(support, M).entries @ x, S, L)
+        U = signal_space(vandermonde(support, M).entries @ x, S, L)
         for w in support.points:
-            assert noise_correlation(W, w) <= TAU_RANK
+            assert noise_correlation(U, w) <= TAU_RANK
 
     def test_bounded_away_far_from_support(self):
         rng = np.random.default_rng(1)
         M, L, S = 60, 30, 3
         support = well_separated_support(rng, S, M)
         x = np.exp(2j * np.pi * rng.uniform(size=S))
-        W = noise_space(vandermonde(support, M).entries @ x, S, L)
+        U = signal_space(vandermonde(support, M).entries @ x, S, L)
         grid = np.arange(0, 1, 1.0 / (16 * M))
         far = [
             w for w in grid
             if min(torus_distance(w, p) for p in support.points) >= 2.0 / M
         ]
-        values = noise_correlation(W, np.array(far))
+        values = noise_correlation(U, np.array(far))
         assert values.min() > 0.1
 
     def test_full_noise_space_gives_one(self):
+        # An empty signal space leaves all of C^(L+1) to the noise space.
         L = 12
-        W = np.eye(L + 1, dtype=complex)
+        U = np.zeros((L + 1, 0), dtype=complex)
         grid = np.linspace(0.0, 0.999, 50)
-        assert np.allclose(noise_correlation(W, grid), 1.0)
+        assert np.allclose(noise_correlation(U, grid), 1.0)
 
     def test_vector_matches_scalar(self):
         rng = np.random.default_rng(2)
-        W, _ = np.linalg.qr(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))
+        U, _ = np.linalg.qr(rng.normal(size=(9, 4)) + 1j * rng.normal(size=(9, 4)))
         omegas = rng.uniform(size=7)
-        vec = noise_correlation(W, omegas)
+        vec = noise_correlation(U, omegas)
         for w, v in zip(omegas, vec):
-            assert noise_correlation(W, float(w)) == pytest.approx(v)
+            assert noise_correlation(U, float(w)) == pytest.approx(v)
 
 
 class TestImagingFunction:
     def test_reciprocal(self):
-        # One noise-space column with overlap exactly 1/2 against the
-        # steering direction at omega = 0 gives R = 0.5, J = 2.
+        # One signal column with overlap sqrt(3)/2 against the steering
+        # direction at omega = 0 leaves R = 0.5.
         phi_hat = np.ones(4, dtype=complex) / 2.0
         ortho = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex) / 2.0
-        W = (0.5 * phi_hat + math.sqrt(3.0) / 2.0 * ortho).reshape(-1, 1)
-        assert noise_correlation(W, 0.0) == pytest.approx(0.5)
-        assert imaging_function(W, 0.0) == pytest.approx(2.0)
+        U = (math.sqrt(3.0) / 2.0 * phi_hat + 0.5 * ortho).reshape(-1, 1)
+        assert noise_correlation(U, 0.0) == pytest.approx(0.5)
+        # music_estimate reports J = 1/R on its grid and at its peaks.
+        y = noisy_measurements([0.2, 0.7], 20, 0.05, seed=3)
+        est = music_estimate(y, S=2, L=10, refine=True)
+        assert np.array_equal(est.grid.values_J, 1.0 / est.grid.values_R)
+        U = signal_space(y, 2, 10)
+        for w, j in zip(est.recovered.points, est.peak_values):
+            assert j == pytest.approx(1.0 / noise_correlation(U, w))
 
     def test_infinite_on_support_noiseless(self):
         rng = np.random.default_rng(3)
         M, L, S = 40, 20, 2
         support = well_separated_support(rng, S, M)
         y0 = vandermonde(support, M).entries @ np.array([1.0, 1.0 + 0.5j])
-        W = noise_space(y0, S, L)
-        j = imaging_function(W, support.points[0])
-        assert j > 1.0 / TAU_RANK / 10
+        est = music_estimate(y0, S=S, L=L, refine=True)
+        assert min(est.peak_values) > 1.0 / TAU_RANK / 10
 
     def test_one_when_fully_in_noise_space(self):
-        W = np.eye(8, dtype=complex)
-        assert imaging_function(W, 0.33) == pytest.approx(1.0)
+        U = np.zeros((8, 0), dtype=complex)
+        assert 1.0 / noise_correlation(U, 0.33) == pytest.approx(1.0)
 
 
 class TestCircularLocalMaxima:
@@ -204,7 +232,7 @@ class TestSignalSpaceFastPaths:
     def test_fft_grid_matches_dense_scan(self, points, M, L, N):
         y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.05, seed=M + L)
         est = music_estimate(y, S=len(points), L=L, N=N)
-        dense = noise_correlation(noise_space(y, len(points), L), np.arange(N) / N)
+        dense = dense_noise_correlation(signal_space(y, len(points), L), np.arange(N) / N)
         assert np.max(np.abs(est.grid.values_R - dense)) <= 1e-10
 
     @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
@@ -212,13 +240,12 @@ class TestSignalSpaceFastPaths:
     def test_residual_form_matches_noise_form(self, points, M, L, N, sigma):
         support = [(p / M) % 1.0 for p in points]
         y = noisy_measurements(support, M, sigma, seed=M + L)
-        split = svd_split(hankel(y, L), len(points))
-        U = split.signal_space
+        U = signal_space(y, len(points), L)
         omegas = np.concatenate([support, np.random.default_rng(M).uniform(size=200)])
-        fast = _signal_correlation(U, U.conj().T, omegas)
-        dense = noise_correlation(split.noise_space, omegas)
+        fast = noise_correlation(U, omegas)
+        dense = dense_noise_correlation(U, omegas)
         assert np.max(np.abs(fast - dense)) <= 1e-12
-        assert _signal_correlation(U, U.conj().T, support[0]) == pytest.approx(
+        assert noise_correlation(U, support[0]) == pytest.approx(
             float(dense[0]), rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
@@ -305,14 +332,33 @@ class TestMusicEstimate:
 class TestCorrelationSupDiff:
     def test_identity_zero(self):
         rng = np.random.default_rng(5)
-        W, _ = np.linalg.qr(rng.normal(size=(11, 5)) + 1j * rng.normal(size=(11, 5)))
-        assert correlation_sup_diff(W, W, 128) == 0.0
+        U, _ = np.linalg.qr(rng.normal(size=(11, 5)) + 1j * rng.normal(size=(11, 5)))
+        assert correlation_sup_diff(U, U, 128) == 0.0
 
     def test_unitary_mixing_invariance(self):
         rng = np.random.default_rng(6)
-        W, _ = np.linalg.qr(rng.normal(size=(11, 5)) + 1j * rng.normal(size=(11, 5)))
+        U, _ = np.linalg.qr(rng.normal(size=(11, 5)) + 1j * rng.normal(size=(11, 5)))
         Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        assert correlation_sup_diff(W, W @ Q, 128) <= 1e-12
+        assert correlation_sup_diff(U, U @ Q, 128) <= 1e-12
+
+    # (points as multiples of 1/M, M, L, N, sigma). In the first case a
+    # source lies 5e-8 from the grid node 40/N = 0.05, where R_clean is
+    # near the floor of the FFT form; the last case has the least noise.
+    @pytest.mark.parametrize("points, M, L, N, sigma", [
+        ((5.0 + 5e-6, 6.2, 70.0), 100, 50, 800, 0.05),
+        ((-0.3, 0.4, 40.0), 100, 49, 1000, 0.3),
+        ((10.0, 10.5, 61.0, 130.0), 160, 81, 1291, 0.1),
+        ((-0.25, 0.08, 95.0), 200, 100, 1600, 1e-4),
+    ])
+    def test_matches_dense_noise_form(self, points, M, L, N, sigma):
+        support = [(p / M) % 1.0 for p in points]
+        y0 = noisy_measurements(support, M, 0.0, seed=M + L)
+        y = noisy_measurements(support, M, sigma, seed=M + L)
+        U_clean = signal_space(y0, len(points), L)
+        U_noisy = signal_space(y, len(points), L)
+        sup = correlation_sup_diff(U_clean, U_noisy, N)
+        assert sup > 0.0
+        assert abs(sup - dense_sup_diff(U_clean, U_noisy, N)) <= 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -352,7 +398,7 @@ class TestWedinBound:
         half = sigma / math.sqrt(2.0)
         eta = rng.normal(0, half, M + 1) + 1j * rng.normal(0, half, M + 1)
         sup = correlation_sup_diff(
-            noise_space(y0, S, L), noise_space(y0 + eta, S, L), 8 * M
+            signal_space(y0, S, L), signal_space(y0 + eta, S, L), 8 * M
         )
         report = wedin_bound(
             hankel_noise_norm=spectral_norm(hankel(eta, L)),
@@ -421,14 +467,14 @@ class TestSubspaceInvariance:
         M, L, S = 50, 25, 2
         support = well_separated_support(rng, S, M)
         y0 = vandermonde(support, M).entries @ np.array([1.0, 2.0j])
-        W = noise_space(y0, S, L)
+        U = signal_space(y0, S, L)
         Q, _ = np.linalg.qr(
-            rng.normal(size=(W.shape[1], W.shape[1]))
-            + 1j * rng.normal(size=(W.shape[1], W.shape[1]))
+            rng.normal(size=(U.shape[1], U.shape[1]))
+            + 1j * rng.normal(size=(U.shape[1], U.shape[1]))
         )
         grid = np.arange(0, 1, 1 / 128)
-        r1 = noise_correlation(W, grid)
-        r2 = noise_correlation(W @ Q, grid)
+        r1 = noise_correlation(U, grid)
+        r2 = noise_correlation(U @ Q, grid)
         assert np.max(np.abs(r1 - r2)) <= 1e-12
 
 

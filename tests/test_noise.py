@@ -11,6 +11,7 @@ from srmusic.noise import (
     NoiseSpec,
     ThresholdPreconditionError,
     concentration_constant,
+    draw_noise,
     estimate_concentration,
     expectation_bound,
     noise_threshold,
@@ -56,6 +57,28 @@ class TestSampleNoise:
             NoiseSpec(sigma=0.0)
         with pytest.raises(ValueError):
             NoiseSpec(sigma=1.0, kind="uniform")
+
+
+class TestDrawNoise:
+    def test_same_law_as_sample_noise(self):
+        for kind in ("real", "complex-circular"):
+            rng = np.random.default_rng((4, 2))
+            eta = draw_noise(rng, 0.3, kind, 40)
+            spec = NoiseSpec(sigma=0.3, kind=kind, seed=(4, 2))
+            assert np.array_equal(eta, sample_noise(spec, 40))
+
+    def test_zero_sigma_leaves_stream_untouched(self):
+        rng = np.random.default_rng(9)
+        eta = draw_noise(rng, 0.0, "real", 10)
+        assert eta.dtype == complex and not eta.any()
+        assert rng.uniform() == np.random.default_rng(9).uniform()
+
+    def test_rejects_negative_sigma_and_unknown_kind(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            draw_noise(rng, -0.1, "real", 10)
+        with pytest.raises(ValueError, match="kind"):
+            draw_noise(rng, 0.0, "uniform", 10)
 
 
 class TestConcentrationConstant:
