@@ -20,14 +20,11 @@ from srmusic.torus import (
     check_beta_condition,
 )
 from srmusic.fourier import (
-    FourierMatrix,
-    HankelMatrix,
     HankelSvd,
     vandermonde,
     hankel,
     svd_split,
     sigma_min,
-    sigma_max,
     spectral_norm,
 )
 from srmusic.bounds import (

@@ -7,11 +7,9 @@ exponents, which is what the theory pins down.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -208,32 +206,3 @@ def upper_bound_witness(
     support = SupportSet(cluster + fillers)
     return support, sigma_min(vandermonde(support, M))
 
-
-SWEEP_CSV_COLUMNS = (
-    "alpha",
-    "M",
-    "S",
-    "lambda_max",
-    "A",
-    "sigma_min_exact",
-    "lower_bound",
-    "upper_bound",
-    "seed",
-)
-
-
-def write_sweep_csv(rows: Sequence[dict], path) -> None:
-    """Persist conditioning-sweep rows under the fixed column schema."""
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(row.get(k)) for k in SWEEP_CSV_COLUMNS})
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v

@@ -150,7 +150,7 @@ def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
     x = amp.sample(rng, support.size)
     sigma = args.sigma if args.sigma is not None else spec.get("sigma", 0.0)
     kind = spec.get("noise_kind", "complex-circular")
-    y = vandermonde(support, M).entries @ x
+    y = vandermonde(support, M) @ x
     return y + draw_noise(rng, sigma, kind, M), support, M
 
 

@@ -15,43 +15,6 @@ import scipy.linalg
 
 from srmusic.torus import SupportSet
 
-# Orthonormality / factorization / numerical-rank tolerances.
-TAU_ORTH = 1e-10
-TAU_FAC = 1e-10
-TAU_RANK = 1e-8
-
-
-@dataclass(frozen=True)
-class FourierMatrix:
-    """(M+1) x S matrix with entries exp(-2*pi*i*m*omega_j), m = 0..M."""
-
-    entries: np.ndarray
-    nodes: SupportSet
-    M: int
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-
-@dataclass(frozen=True)
-class HankelMatrix:
-    """(L+1) x (M-L+1) matrix with constant anti-diagonals y[i+j]."""
-
-    entries: np.ndarray
-    L: int
-    source_length: int
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
 
 @dataclass(frozen=True)
 class HankelSvd:
@@ -66,8 +29,8 @@ class HankelSvd:
     singular_values: np.ndarray
 
 
-def vandermonde(omega: SupportSet, M: int) -> FourierMatrix:
-    """Fourier matrix of the first M+1 samples of unit masses at omega."""
+def vandermonde(omega: SupportSet, M: int) -> np.ndarray:
+    """(M+1) x S Fourier matrix with entries exp(-2*pi*i*m*omega_j), m = 0..M."""
     if M < 1:
         raise ValueError("M must be a positive integer")
     if omega.size > M + 1:
@@ -75,30 +38,28 @@ def vandermonde(omega: SupportSet, M: int) -> FourierMatrix:
             f"more nodes ({omega.size}) than rows ({M + 1}); matrix is rank deficient",
             stacklevel=2,
         )
-    entries = np.exp(-2j * np.pi * np.outer(np.arange(M + 1), omega.as_array()))
-    return FourierMatrix(entries=entries, nodes=omega, M=M)
+    return np.exp(-2j * np.pi * np.outer(np.arange(M + 1), omega.as_array()))
 
 
-def hankel(y: np.ndarray, L: int) -> HankelMatrix:
-    """Hankel matrix of a measurement vector y of length M+1."""
+def hankel(y: np.ndarray, L: int) -> np.ndarray:
+    """(L+1) x (M-L+1) Hankel matrix y[i+j] of a measurement vector of length M+1."""
     y = np.asarray(y)
     M = len(y) - 1
     if not (0 <= L <= M):
         raise ValueError(f"L = {L} outside [0, {M}] for {M + 1} measurements")
-    entries = scipy.linalg.hankel(y[: L + 1], y[L:])
-    return HankelMatrix(entries=entries, L=L, source_length=M + 1)
+    return scipy.linalg.hankel(y[: L + 1], y[L:])
 
 
-def svd_split(H: HankelMatrix, S: int) -> HankelSvd:
-    """Thin SVD of a Hankel matrix, left subspace split at rank S."""
-    L = H.L
-    rows, cols = H.entries.shape
+def svd_split(H: np.ndarray, S: int) -> HankelSvd:
+    """Thin SVD of an (L+1)-row Hankel matrix, left subspace split at rank S."""
+    rows, cols = H.shape
+    L = rows - 1
     if not (0 <= S <= min(rows, cols)):
         raise ValueError(f"S = {S} must lie in [0, min({rows}, {cols})]")
     if S > L:
         raise ValueError(f"S = {S} leaves no noise space for L = {L}")
     try:
-        u, s, _ = np.linalg.svd(H.entries, full_matrices=False)
+        u, s, _ = np.linalg.svd(H, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed on a {rows}x{cols} Hankel matrix: {exc}"
@@ -121,11 +82,6 @@ def sigma_min(matrix) -> float:
     return float(_singular_values(matrix).min())
 
 
-def sigma_max(matrix) -> float:
-    """Largest singular value."""
-    return float(_singular_values(matrix).max())
-
-
 def spectral_norm(matrix) -> float:
-    """Operator 2-norm, identical to sigma_max."""
-    return sigma_max(matrix)
+    """Operator 2-norm: the largest singular value."""
+    return float(_singular_values(matrix).max())

@@ -2,16 +2,19 @@
 
 Five campaign kinds: sigma-min sweeps over the spacing factor, upper-bound
 witness sweeps, Wedin perturbation checks, Hankel noise concentration, and
-full MUSIC phase transitions over an (SRF, sigma) grid. Every record's RNG
-stream derives from (base_seed, cell index), so campaigns are reproducible
-and parallel safe; CSV output contains no timing so reruns are
-byte-identical.
+full MUSIC phase transitions over an (SRF, sigma) grid. CAMPAIGN_KINDS
+describes each kind in one entry: the config fields it requires, the axes
+that index its cells, its trial, its CSV columns and its summary. Every
+record's RNG stream derives from (base_seed, cell index), so campaigns are
+reproducible and parallel safe; CSV output contains no timing so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,9 +27,9 @@ import numpy as np
 from srmusic.bounds import (
     ClumpBoundTerms,
     fit_clump_constants,
+    fit_scaling_exponent,
     lower_bound_value,
     upper_bound_witness,
-    write_sweep_csv,
 )
 from srmusic.fourier import hankel, sigma_min, spectral_norm, svd_split, vandermonde
 from srmusic.music import (
@@ -37,6 +40,7 @@ from srmusic.music import (
 )
 from srmusic.noise import (
     NOISE_KINDS,
+    TAIL_FACTOR,
     ConcentrationReport,
     NoiseSpec,
     concentration_report,
@@ -44,14 +48,6 @@ from srmusic.noise import (
     sample_noise,
 )
 from srmusic.torus import ClumpSpec, generate_clumps
-
-EXPERIMENT_KINDS = (
-    "sigma-min-sweep",
-    "upper-bound-sweep",
-    "perturbation-check",
-    "concentration",
-    "phase-transition",
-)
 
 AMPLITUDE_KINDS = ("unit", "random-phase-unit", "random-modulus")
 
@@ -124,7 +120,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in CAMPAIGN_KINDS:
             raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be at least 1")
@@ -134,26 +130,12 @@ class ExperimentConfig:
             raise ValueError(f"sigmas must be nonnegative, got {list(self.sigmas)}")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
-        missing = []
-        if self.kind in ("sigma-min-sweep", "upper-bound-sweep", "phase-transition",
-                         "perturbation-check"):
-            if self.clump_spec is None:
-                missing.append("clump_spec")
-        if self.kind in ("sigma-min-sweep", "upper-bound-sweep", "phase-transition"):
-            if not self.alphas:
-                missing.append("alphas")
-        if self.kind in ("perturbation-check", "concentration", "phase-transition"):
-            if not self.sigmas:
-                missing.append("sigmas")
-        if self.kind == "concentration":
-            if self.M is None:
-                missing.append("M")
-            if self.L is None:
-                missing.append("L")
-        if self.kind == "upper-bound-sweep" and self.S is None:
-            missing.append("S")
+        kind = CAMPAIGN_KINDS[self.kind]
+        missing = [name for name in kind.requires if getattr(self, name) in (None, ())]
         if missing:
             raise ValueError(f"{self.kind} config is missing: {', '.join(missing)}")
+        if kind.check is not None:
+            kind.check(self)
 
     @property
     def resolved_m(self) -> int:
@@ -229,7 +211,13 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentRecord:
-    """One trial's coordinates, seed, and outputs; fields unused by a kind stay None."""
+    """One trial: its place in the campaign, its seed, and its kind's outputs.
+
+    alpha is the swept spacing factor, or the clump spec's when alphas do
+    not index the kind's cells. values maps the kind's CSV column names to
+    this trial's outputs; a column neither here nor a record attribute is
+    written blank.
+    """
 
     kind: str
     config_hash: str
@@ -237,50 +225,78 @@ class ExperimentRecord:
     sigma: float | None
     trial: int
     seed: str
-    srf: float | None = None
-    sigma_min_exact: float | None = None
-    lower_bound: float | None = None
-    upper_bound: float | None = None
-    lambda_max: int | None = None
-    num_clumps: int | None = None
-    S: int | None = None
-    M: int | None = None
-    hankel_noise_norm: float | None = None
-    sigma_min_L: float | None = None
-    sigma_min_ML: float | None = None
-    x_min: float | None = None
-    sup_diff: float | None = None
-    wedin_bound: float | None = None
-    precondition_ok: bool | None = None
-    hankel_norm: float | None = None
-    matched_error: float | None = None
-    success: bool | None = None
+    values: dict = field(default_factory=dict)
     error: str = ""
     wall_time: float = 0.0
 
+    @property
+    def srf(self) -> float | None:
+        return None if self.alpha is None else 1.0 / self.alpha
 
-def _cell_seed(base_seed: int, ia: int, isig: int, trial: int) -> tuple:
-    return (base_seed, ia, isig, trial)
 
+@dataclass(frozen=True)
+class CampaignKind:
+    """Everything one campaign kind adds to the generic runner, writer and summary.
 
-def _seed_str(seed: tuple) -> str:
-    return "-".join(str(v) for v in seed)
+    requires: config fields that must be set. check: the kind's own config
+    checks, raising ValueError. axes: which of "alphas" and "sigmas" index
+    its cells. prepare: per-campaign setup, config -> trial(alpha, sigma,
+    seed) -> values. finish: fills values that depend on every record.
+    columns: its CSV columns; with "error" among them a failing trial is
+    recorded with success False instead of aborting the campaign.
+    summary: (records, config) -> the kind's summary keys.
+    """
+
+    requires: tuple[str, ...]
+    axes: tuple[str, ...]
+    prepare: Callable[[ExperimentConfig], Callable[..., dict]]
+    columns: tuple[str, ...]
+    summary: Callable[[Sequence[ExperimentRecord], ExperimentConfig], dict]
+    check: Callable[[ExperimentConfig], None] | None = None
+    finish: Callable[[list[ExperimentRecord]], None] | None = None
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRecord]:
     """Execute a campaign; returns one record per trial, in grid order.
 
-    Per-cell failures are recorded in the cell's record (error field,
-    success False) rather than aborting the campaign.
+    Cells run over (alpha index, sigma index, trial), outermost first; an
+    index is 0 when its axis does not index the kind's cells. Cell
+    (ia, isig, t) draws from the seed (base_seed, ia, isig, t).
     """
-    runner = {
-        "sigma-min-sweep": _run_sigma_min_sweep,
-        "upper-bound-sweep": _run_upper_bound_sweep,
-        "perturbation-check": _run_perturbation_check,
-        "concentration": _run_concentration,
-        "phase-transition": _run_phase_transition,
-    }[config.kind]
-    return runner(config, max(1, jobs))
+    kind = CAMPAIGN_KINDS[config.kind]
+    chash = config.config_hash()
+    trial = kind.prepare(config)
+    swept_alpha = "alphas" in kind.axes
+    swept_sigma = "sigmas" in kind.axes
+    spec_alpha = None if config.clump_spec is None else config.clump_spec.alpha
+
+    def cell(coords):
+        ia, isig, t = coords
+        alpha = config.alphas[ia] if swept_alpha else spec_alpha
+        sigma = config.sigmas[isig] if swept_sigma else None
+        seed = (config.base_seed, ia, isig, t)
+        record = ExperimentRecord(config.kind, chash, alpha, sigma, t,
+                                  "-".join(str(v) for v in seed))
+        t0 = time.perf_counter()
+        try:
+            record.values = trial(alpha, sigma, seed)
+        except Exception as exc:
+            if "error" not in kind.columns:
+                raise
+            record.error = f"{type(exc).__name__}: {exc}"
+            record.values = {"success": False}
+        record.wall_time = time.perf_counter() - t0
+        return record
+
+    cells = list(itertools.product(
+        range(len(config.alphas)) if swept_alpha else (0,),
+        range(len(config.sigmas)) if swept_sigma else (0,),
+        range(config.trials_per_cell),
+    ))
+    records = _map_cells(cell, cells, max(1, jobs))
+    if kind.finish is not None:
+        kind.finish(records)
+    return records
 
 
 def _map_cells(fn: Callable, cells: list, jobs: int) -> list:
@@ -317,218 +333,130 @@ def _fit_terms_for_spec(config: ExperimentConfig) -> ClumpBoundTerms:
     )
 
 
-def _run_sigma_min_sweep(config: ExperimentConfig, jobs: int) -> list[ExperimentRecord]:
+def _sigma_min_sweep(config: ExperimentConfig) -> Callable[..., dict]:
     spec = config.clump_spec
-    chash = config.config_hash()
     terms = _fit_terms_for_spec(config)
 
-    def cell(coords):
-        ia, trial = coords
-        alpha = config.alphas[ia]
-        seed = _cell_seed(config.base_seed, ia, 0, trial)
-        t0 = time.perf_counter()
+    def trial(alpha, sigma, seed):
         support, partition = generate_clumps(replace(spec, alpha=alpha), seed=seed)
-        sm = sigma_min(vandermonde(support, spec.M))
-        lb = lower_bound_value(replace(terms, alpha=alpha))
-        return ExperimentRecord(
-            kind=config.kind,
-            config_hash=chash,
-            alpha=alpha,
-            sigma=None,
-            trial=trial,
-            seed=_seed_str(seed),
-            srf=1.0 / alpha,
-            sigma_min_exact=sm,
-            lower_bound=lb,
-            lambda_max=partition.lambda_max,
-            num_clumps=partition.num_clumps,
-            S=support.size,
-            M=spec.M,
-            wall_time=time.perf_counter() - t0,
-        )
+        return {
+            "M": spec.M,
+            "S": support.size,
+            "lambda_max": partition.lambda_max,
+            "A": partition.num_clumps,
+            "sigma_min_exact": sigma_min(vandermonde(support, spec.M)),
+            "lower_bound": lower_bound_value(replace(terms, alpha=alpha)),
+        }
 
-    cells = [(ia, t) for ia in range(len(config.alphas))
-             for t in range(config.trials_per_cell)]
-    return _map_cells(cell, cells, jobs)
+    return trial
 
 
-def _run_upper_bound_sweep(config: ExperimentConfig, jobs: int) -> list[ExperimentRecord]:
-    spec = config.clump_spec
-    if spec.num_clumps != 1:
+def _check_single_clump(config: ExperimentConfig) -> None:
+    if config.clump_spec.num_clumps != 1:
         raise ValueError("upper-bound-sweep uses a single-clump spec for the cluster")
-    lam = spec.clump_sizes[0]
-    chash = config.config_hash()
 
-    def cell(coords):
-        ia, trial = coords
-        alpha = config.alphas[ia]
-        seed = _cell_seed(config.base_seed, ia, 0, trial)
-        t0 = time.perf_counter()
+
+def _upper_bound_sweep(config: ExperimentConfig) -> Callable[..., dict]:
+    spec = config.clump_spec
+    lam = spec.clump_sizes[0]
+
+    def trial(alpha, sigma, seed):
         rng = np.random.default_rng(seed)
         omega0 = float(rng.uniform(0.0, 1.0))
-        support, sm = upper_bound_witness(
+        _, sm = upper_bound_witness(
             lam=lam, alpha=alpha, M=spec.M, S=config.S, omega0=omega0, filler_seed=rng
         )
-        return ExperimentRecord(
-            kind=config.kind,
-            config_hash=chash,
-            alpha=alpha,
-            sigma=None,
-            trial=trial,
-            seed=_seed_str(seed),
-            srf=1.0 / alpha,
-            sigma_min_exact=sm,
-            lambda_max=lam,
-            num_clumps=None,
-            S=config.S,
-            M=spec.M,
-            wall_time=time.perf_counter() - t0,
-        )
+        return {"M": spec.M, "S": config.S, "lambda_max": lam, "sigma_min_exact": sm}
 
-    cells = [(ia, t) for ia in range(len(config.alphas))
-             for t in range(config.trials_per_cell)]
-    records = _map_cells(cell, cells, jobs)
-    # One ceiling constant per sweep: smallest C with sigma_min <= C alpha^(lam-1).
-    c_lam = max(r.sigma_min_exact / r.alpha ** (lam - 1) for r in records)
+    return trial
+
+
+def _ceiling_constant(records: Sequence[ExperimentRecord]) -> float:
+    """One ceiling constant per sweep: smallest C with sigma_min <= C alpha^(lam-1)."""
+    lam = max(r.values["lambda_max"] for r in records)
+    return max(r.values["sigma_min_exact"] / r.alpha ** (lam - 1) for r in records)
+
+
+def _fill_upper_bounds(records: list[ExperimentRecord]) -> None:
+    c_lam = _ceiling_constant(records)
     for r in records:
-        r.upper_bound = c_lam * r.alpha ** (lam - 1)
-    return records
+        r.values["upper_bound"] = c_lam * r.alpha ** (r.values["lambda_max"] - 1)
 
 
-def _run_perturbation_check(config: ExperimentConfig, jobs: int) -> list[ExperimentRecord]:
+def _synthesize(config: ExperimentConfig, spec: ClumpSpec, sigma: float,
+                rng: np.random.Generator) -> tuple:
+    """Draw a support from spec, its amplitudes x, y0 = V x and a noise vector."""
+    M = config.resolved_m
+    support, _ = generate_clumps(spec, seed=rng)
+    x = config.amplitude_model.sample(rng, spec.total_points)
+    y0 = vandermonde(support, M) @ x
+    return support, x, y0, draw_noise(rng, sigma, config.noise_kind, M)
+
+
+def _perturbation_check(config: ExperimentConfig) -> Callable[..., dict]:
     spec = config.clump_spec
     M = config.resolved_m
     L = config.resolved_l
     N = config.resolved_n
     S = spec.total_points
-    chash = config.config_hash()
 
-    def cell(coords):
-        isig, trial = coords
-        sigma = config.sigmas[isig]
-        seed = _cell_seed(config.base_seed, 0, isig, trial)
-        t0 = time.perf_counter()
-        rng = np.random.default_rng(seed)
-        record = ExperimentRecord(
-            kind=config.kind,
-            config_hash=chash,
-            alpha=spec.alpha,
-            sigma=sigma,
-            trial=trial,
-            seed=_seed_str(seed),
-            S=S,
-            M=M,
+    def trial(alpha, sigma, seed):
+        support, x, y0, eta = _synthesize(config, spec, sigma, np.random.default_rng(seed))
+        u_clean = svd_split(hankel(y0, L), S).signal_space
+        u_noisy = svd_split(hankel(y0 + eta, L), S).signal_space
+        sup = correlation_sup_diff(u_clean, u_noisy, N)
+        report = wedin_bound(
+            hankel_noise_norm=spectral_norm(hankel(eta, L)),
+            x_min=float(np.min(np.abs(x))),
+            sigma_min_L=sigma_min(vandermonde(support, L)),
+            sigma_min_ML=sigma_min(vandermonde(support, M - L)),
+            sup_norm_diff=sup,
         )
-        try:
-            support, _ = generate_clumps(spec, seed=rng)
-            x = config.amplitude_model.sample(rng, S)
-            y0 = vandermonde(support, M).entries @ x
-            eta = draw_noise(rng, sigma, config.noise_kind, M)
-            u_clean = svd_split(hankel(y0, L), S).signal_space
-            u_noisy = svd_split(hankel(y0 + eta, L), S).signal_space
-            sup = correlation_sup_diff(u_clean, u_noisy, N)
-            report = wedin_bound(
-                hankel_noise_norm=spectral_norm(hankel(eta, L)),
-                x_min=float(np.min(np.abs(x))),
-                sigma_min_L=sigma_min(vandermonde(support, L)),
-                sigma_min_ML=sigma_min(vandermonde(support, M - L)),
-                sup_norm_diff=sup,
-            )
-            record.hankel_noise_norm = report.hankel_noise_norm
-            record.sigma_min_L = report.sigma_min_L
-            record.sigma_min_ML = report.sigma_min_ML
-            record.x_min = report.x_min
-            record.sup_diff = sup
-            record.wedin_bound = report.wedin_bound
-            record.precondition_ok = report.precondition_ok
-            record.success = (not report.precondition_ok) or sup <= report.wedin_bound
-        except Exception as exc:  # per-cell failures stay in the record
-            record.error = f"{type(exc).__name__}: {exc}"
-            record.success = False
-        record.wall_time = time.perf_counter() - t0
-        return record
+        return {
+            "hankel_noise_norm": report.hankel_noise_norm,
+            "sigma_min_L": report.sigma_min_L,
+            "sigma_min_ML": report.sigma_min_ML,
+            "x_min": report.x_min,
+            "sup_diff": sup,
+            "wedin_bound": report.wedin_bound,
+            "precondition_ok": report.precondition_ok,
+            "success": (not report.precondition_ok) or sup <= report.wedin_bound,
+        }
 
-    cells = [(isig, t) for isig in range(len(config.sigmas))
-             for t in range(config.trials_per_cell)]
-    return _map_cells(cell, cells, jobs)
+    return trial
 
 
-def _run_concentration(config: ExperimentConfig, jobs: int) -> list[ExperimentRecord]:
-    M, L = config.M, config.L
-    chash = config.config_hash()
-
-    def cell(coords):
-        isig, trial = coords
-        sigma = config.sigmas[isig]
-        seed = _cell_seed(config.base_seed, 0, isig, trial)
-        t0 = time.perf_counter()
-        eta = sample_noise(NoiseSpec(sigma=sigma, kind=config.noise_kind, seed=seed), M)
-        norm = spectral_norm(hankel(eta, L))
-        return ExperimentRecord(
-            kind=config.kind,
-            config_hash=chash,
-            alpha=None,
-            sigma=sigma,
-            trial=trial,
-            seed=_seed_str(seed),
-            hankel_norm=norm,
-            M=M,
-            wall_time=time.perf_counter() - t0,
+def _check_positive_sigmas(config: ExperimentConfig) -> None:
+    if 0.0 in config.sigmas:
+        raise ValueError(
+            f"concentration needs positive sigmas: the tail bound is read at "
+            f"t = {TAIL_FACTOR}*E-bound, which is 0 at sigma 0"
         )
 
-    cells = [(isig, t) for isig in range(len(config.sigmas))
-             for t in range(config.trials_per_cell)]
-    return _map_cells(cell, cells, jobs)
+
+def _concentration(config: ExperimentConfig) -> Callable[..., dict]:
+    def trial(alpha, sigma, seed):
+        spec = NoiseSpec(sigma=sigma, kind=config.noise_kind, seed=seed)
+        return {"hankel_norm": spectral_norm(hankel(sample_noise(spec, config.M), config.L))}
+
+    return trial
 
 
-def _run_phase_transition(config: ExperimentConfig, jobs: int) -> list[ExperimentRecord]:
+def _phase_transition(config: ExperimentConfig) -> Callable[..., dict]:
     spec = config.clump_spec
     M = config.resolved_m
     L = config.resolved_l
     N = config.resolved_n
     S = spec.total_points
-    chash = config.config_hash()
 
-    def cell(coords):
-        ia, isig, trial = coords
-        alpha = config.alphas[ia]
-        sigma = config.sigmas[isig]
-        seed = _cell_seed(config.base_seed, ia, isig, trial)
-        t0 = time.perf_counter()
+    def trial(alpha, sigma, seed):
         rng = np.random.default_rng(seed)
-        record = ExperimentRecord(
-            kind=config.kind,
-            config_hash=chash,
-            alpha=alpha,
-            sigma=sigma,
-            trial=trial,
-            seed=_seed_str(seed),
-            srf=1.0 / alpha,
-            S=S,
-            M=M,
-        )
-        try:
-            support, _ = generate_clumps(replace(spec, alpha=alpha), seed=rng)
-            x = config.amplitude_model.sample(rng, S)
-            y = vandermonde(support, M).entries @ x
-            y = y + draw_noise(rng, sigma, config.noise_kind, M)
-            estimate = music_estimate(y, S=S, L=L, N=N, refine=True)
-            err = match_supports(support, estimate.recovered)
-            record.matched_error = err
-            record.success = bool(err < alpha / (2.0 * M))
-        except Exception as exc:
-            record.error = f"{type(exc).__name__}: {exc}"
-            record.success = False
-        record.wall_time = time.perf_counter() - t0
-        return record
+        support, _, y0, eta = _synthesize(config, replace(spec, alpha=alpha), sigma, rng)
+        estimate = music_estimate(y0 + eta, S=S, L=L, N=N, refine=True)
+        err = match_supports(support, estimate.recovered)
+        return {"matched_error": err, "success": bool(err < alpha / (2.0 * M))}
 
-    cells = [
-        (ia, isig, t)
-        for ia in range(len(config.alphas))
-        for isig in range(len(config.sigmas))
-        for t in range(config.trials_per_cell)
-    ]
-    return _map_cells(cell, cells, jobs)
+    return trial
 
 
 @dataclass(frozen=True)
@@ -561,17 +489,16 @@ def phase_transition_summary(
     records: Sequence[ExperimentRecord], nominal_x_min: float = 1.0
 ) -> PhaseTransitionSummary:
     """Aggregate phase-transition records into the success-probability table."""
-    recs = [r for r in records if r.kind == "phase-transition"]
-    if not recs:
+    if not records:
         raise ValueError("no phase-transition records to summarize")
-    alphas = sorted({r.alpha for r in recs})
-    sigmas = sorted({r.sigma for r in recs})
+    alphas = sorted({r.alpha for r in records})
+    sigmas = sorted({r.sigma for r in records})
     srfs = [1.0 / a for a in alphas]
     counts = {(a, s): [0, 0] for a in alphas for s in sigmas}
-    for r in recs:
+    for r in records:
         entry = counts[(r.alpha, r.sigma)]
         entry[0] += 1
-        entry[1] += 1 if r.success else 0
+        entry[1] += 1 if r.values["success"] else 0
     trials = {entry[0] for entry in counts.values()}
     rates = []
     for a in alphas:
@@ -601,22 +528,108 @@ def concentration_summary(
     """Per-sigma concentration reports from recorded Hankel noise norms."""
     return [
         concentration_report(
-            np.array([r.hankel_norm for r in records if r.sigma == sigma]),
+            np.array([r.values["hankel_norm"] for r in records if r.sigma == sigma]),
             sigma, config.M, config.L, config.noise_kind,
         )
         for sigma in config.sigmas
     ]
 
 
-_PERTURBATION_COLUMNS = (
-    "alpha", "sigma", "trial", "seed", "hankel_noise_norm", "sigma_min_L",
-    "sigma_min_ML", "x_min", "sup_diff", "wedin_bound", "precondition_ok",
-    "success", "error",
+def _sweep_summary(records: Sequence[ExperimentRecord], config: ExperimentConfig) -> dict:
+    per_alpha: dict[float, list[float]] = {}
+    for r in records:
+        per_alpha.setdefault(r.alpha, []).append(r.values["sigma_min_exact"])
+    pairs = sorted(
+        ((a, float(np.exp(np.mean(np.log(v))))) for a, v in per_alpha.items()),
+        key=lambda t: -t[0],
+    )
+    out = {"per_alpha_geomean_sigma_min": [[a, s] for a, s in pairs]}
+    if len(pairs) >= 4:
+        fit = fit_scaling_exponent(pairs)
+        out.update(slope=fit.slope, r_squared=fit.r_squared, reliable=fit.reliable)
+    lam = max(r.values["lambda_max"] for r in records)
+    out.update(lambda_max=lam, expected_slope=lam - 1)
+    return out
+
+
+def _upper_sweep_summary(records: Sequence[ExperimentRecord],
+                         config: ExperimentConfig) -> dict:
+    return {**_sweep_summary(records, config),
+            "fitted_ceiling_constant": _ceiling_constant(records)}
+
+
+def _perturbation_summary(records: Sequence[ExperimentRecord],
+                          config: ExperimentConfig) -> dict:
+    ok = [r.values for r in records if r.values.get("precondition_ok")]
+    out = {
+        "precondition_ok": len(ok),
+        "violations": sum(1 for v in ok if v["sup_diff"] > v["wedin_bound"]),
+    }
+    # A zero bound (sigma = 0) gives no ratio; a positive sup there is a violation.
+    ratios = [v["sup_diff"] / v["wedin_bound"] for v in ok if v["wedin_bound"] > 0]
+    if ratios:
+        out["max_ratio_sup_to_bound"] = max(ratios)
+    return out
+
+
+_SWEEP_COLUMNS = (
+    "alpha", "M", "S", "lambda_max", "A", "sigma_min_exact", "lower_bound",
+    "upper_bound", "seed",
 )
-_CONCENTRATION_COLUMNS = ("sigma", "trial", "seed", "hankel_norm")
-_PHASE_COLUMNS = (
-    "alpha", "srf", "sigma", "trial", "seed", "matched_error", "success", "error",
-)
+
+CAMPAIGN_KINDS: dict[str, CampaignKind] = {
+    "sigma-min-sweep": CampaignKind(
+        requires=("clump_spec", "alphas"),
+        axes=("alphas",),
+        prepare=_sigma_min_sweep,
+        columns=_SWEEP_COLUMNS,
+        summary=_sweep_summary,
+    ),
+    "upper-bound-sweep": CampaignKind(
+        requires=("clump_spec", "alphas", "S"),
+        check=_check_single_clump,
+        axes=("alphas",),
+        prepare=_upper_bound_sweep,
+        finish=_fill_upper_bounds,
+        columns=_SWEEP_COLUMNS,
+        summary=_upper_sweep_summary,
+    ),
+    "perturbation-check": CampaignKind(
+        requires=("clump_spec", "sigmas"),
+        axes=("sigmas",),
+        prepare=_perturbation_check,
+        columns=(
+            "alpha", "sigma", "trial", "seed", "hankel_noise_norm", "sigma_min_L",
+            "sigma_min_ML", "x_min", "sup_diff", "wedin_bound", "precondition_ok",
+            "success", "error",
+        ),
+        summary=_perturbation_summary,
+    ),
+    "concentration": CampaignKind(
+        requires=("sigmas", "M", "L"),
+        check=_check_positive_sigmas,
+        axes=("sigmas",),
+        prepare=_concentration,
+        columns=("sigma", "trial", "seed", "hankel_norm"),
+        summary=lambda records, config: {
+            "reports": [rep.to_dict() for rep in concentration_summary(records, config)]
+        },
+    ),
+    "phase-transition": CampaignKind(
+        requires=("clump_spec", "alphas", "sigmas"),
+        axes=("alphas", "sigmas"),
+        prepare=_phase_transition,
+        columns=("alpha", "srf", "sigma", "trial", "seed", "matched_error", "success",
+                 "error"),
+        summary=lambda records, config: {
+            "table": phase_transition_summary(
+                records, nominal_x_min=config.amplitude_model.nominal_x_min
+            ).to_dict()
+        },
+    ),
+}
+
+EXPERIMENT_KINDS = tuple(CAMPAIGN_KINDS)
 
 
 def _fmt(v):
@@ -630,35 +643,17 @@ def _fmt(v):
 
 
 def records_to_csv(records: Sequence[ExperimentRecord], kind: str, path) -> None:
-    """Write trial records for one kind; wall time is deliberately excluded
-    so identical reruns produce byte-identical files."""
-    if kind in ("sigma-min-sweep", "upper-bound-sweep"):
-        rows = [
-            {
-                "alpha": r.alpha,
-                "M": r.M,
-                "S": r.S,
-                "lambda_max": r.lambda_max,
-                "A": r.num_clumps,
-                "sigma_min_exact": r.sigma_min_exact,
-                "lower_bound": r.lower_bound,
-                "upper_bound": r.upper_bound,
-                "seed": r.seed,
-            }
-            for r in records
-        ]
-        write_sweep_csv(rows, path)
-        return
-    columns = {
-        "perturbation-check": _PERTURBATION_COLUMNS,
-        "concentration": _CONCENTRATION_COLUMNS,
-        "phase-transition": _PHASE_COLUMNS,
-    }[kind]
+    """Write trial records under the kind's columns; wall time is deliberately
+    excluded so identical reruns produce byte-identical files."""
+    columns = CAMPAIGN_KINDS[kind].columns
     with open(Path(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for r in records:
-            writer.writerow([_fmt(getattr(r, col)) for col in columns])
+            writer.writerow([
+                _fmt(r.values[col] if col in r.values else getattr(r, col, None))
+                for col in columns
+            ])
 
 
 def save_records(
@@ -683,48 +678,9 @@ def save_records(
 
 def summarize(records: Sequence[ExperimentRecord], config: ExperimentConfig) -> dict:
     """Kind-specific roll-up of a record list, JSON ready."""
-    base = {
+    return {
         "kind": config.kind,
         "config_hash": config.config_hash(),
         "records": len(records),
+        **CAMPAIGN_KINDS[config.kind].summary(records, config),
     }
-    if config.kind in ("sigma-min-sweep", "upper-bound-sweep"):
-        per_alpha: dict[float, list[float]] = {}
-        for r in records:
-            per_alpha.setdefault(r.alpha, []).append(r.sigma_min_exact)
-        pairs = sorted(
-            ((a, float(np.exp(np.mean(np.log(v))))) for a, v in per_alpha.items()),
-            key=lambda t: -t[0],
-        )
-        base["per_alpha_geomean_sigma_min"] = [[a, s] for a, s in pairs]
-        if len(pairs) >= 4:
-            from srmusic.bounds import fit_scaling_exponent
-
-            fit = fit_scaling_exponent(pairs)
-            base["slope"] = fit.slope
-            base["r_squared"] = fit.r_squared
-            base["reliable"] = fit.reliable
-        lam = max(r.lambda_max for r in records)
-        base["lambda_max"] = lam
-        base["expected_slope"] = lam - 1
-        if config.kind == "upper-bound-sweep":
-            base["fitted_ceiling_constant"] = max(
-                r.sigma_min_exact / r.alpha ** (lam - 1) for r in records
-            )
-    elif config.kind == "perturbation-check":
-        ok = [r for r in records if r.precondition_ok]
-        viol = [r for r in ok if r.sup_diff > r.wedin_bound]
-        base["precondition_ok"] = len(ok)
-        base["violations"] = len(viol)
-        if ok:
-            base["max_ratio_sup_to_bound"] = max(
-                r.sup_diff / r.wedin_bound for r in ok
-            )
-    elif config.kind == "concentration":
-        base["reports"] = [rep.to_dict() for rep in concentration_summary(records, config)]
-    elif config.kind == "phase-transition":
-        summary = phase_transition_summary(
-            records, nominal_x_min=config.amplitude_model.nominal_x_min
-        )
-        base["table"] = summary.to_dict()
-    return base

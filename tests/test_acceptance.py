@@ -72,12 +72,12 @@ def test_criterion_2_hankel_factorization():
         L = int(rng.integers(S, min(M + 2 - S, M)))
         support = SupportSet(np.sort(rng.uniform(size=S)))
         x = rng.normal(size=S) + 1j * rng.normal(size=S)
-        y0 = vandermonde(support, M).entries @ x
-        lhs = hankel(y0, L).entries
+        y0 = vandermonde(support, M) @ x
+        lhs = hankel(y0, L)
         rhs = (
-            vandermonde(support, L).entries
+            vandermonde(support, L)
             @ np.diag(x)
-            @ vandermonde(support, M - L).entries.T
+            @ vandermonde(support, M - L).T
         )
         budget = 1e-10 * np.abs(x).sum() * math.sqrt((L + 1) * (M - L + 1))
         worst_ratio = max(worst_ratio, float(np.linalg.norm(lhs - rhs)) / budget)
@@ -178,7 +178,7 @@ def test_criterion_6_noiseless_music_exactness():
                     fillers.append(cand)
             support = SupportSet(cluster + fillers)
         x = np.exp(2j * np.pi * rng.uniform(size=S))
-        y0 = vandermonde(support, M).entries @ x
+        y0 = vandermonde(support, M) @ x
         estimate = music_estimate(y0, S=S, L=L, refine=True)
         worst = max(worst, match_supports(support, estimate.recovered))
     passed = worst < 1e-6
@@ -196,7 +196,7 @@ def test_criterion_7_wedin_bound_never_violated():
     for _ in range(trials):
         support = separated_support(rng, S, M)
         x = np.exp(2j * np.pi * rng.uniform(size=S))
-        y0 = vandermonde(support, M).entries @ x
+        y0 = vandermonde(support, M) @ x
         half = sigma / math.sqrt(2.0)
         eta = rng.normal(0, half, M + 1) + 1j * rng.normal(0, half, M + 1)
         sup = correlation_sup_diff(
@@ -300,7 +300,7 @@ def _supnorm_levels(M, eps=0.1, trials=100):
         level = None
         for s in sigmas:
             cell = [r for r in records if r.sigma == s]
-            rate = sum(1 for r in cell if r.sup_diff <= eps) / len(cell)
+            rate = sum(1 for r in cell if r.values["sup_diff"] <= eps) / len(cell)
             if rate >= 0.9:
                 level = float(s)
         levels.append(level)

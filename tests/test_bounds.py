@@ -12,7 +12,6 @@ from srmusic.bounds import (
     lower_bound_value,
     require_aspect,
     upper_bound_witness,
-    write_sweep_csv,
 )
 from srmusic.fourier import sigma_min, vandermonde
 from srmusic.torus import ClumpSpec, SupportSet, generate_clumps
@@ -275,24 +274,3 @@ class TestExponentDichotomy:
         assert abs(fit.slope - 2.0) <= 0.3
         assert fit.r_squared >= 0.98
 
-
-class TestSweepCsv:
-    def test_columns_and_values(self, tmp_path):
-        rows = [
-            {
-                "alpha": 0.5,
-                "M": 100,
-                "S": 2,
-                "lambda_max": 2,
-                "A": 1,
-                "sigma_min_exact": 1.25,
-                "lower_bound": 1.0,
-                "upper_bound": None,
-                "seed": "0-0-0-0",
-            }
-        ]
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(rows, path)
-        text = path.read_text().splitlines()
-        assert text[0] == "alpha,M,S,lambda_max,A,sigma_min_exact,lower_bound,upper_bound,seed"
-        assert text[1] == "0.5,100,2,2,1,1.25,1.0,,0-0-0-0"

@@ -106,7 +106,7 @@ class TestMusic:
 
     def test_from_measurements_file(self, tmp_path):
         support = SupportSet([0.3, 0.8])
-        y = vandermonde(support, 60).entries @ np.array([1.0, 1.0j])
+        y = vandermonde(support, 60) @ np.array([1.0, 1.0j])
         meas = tmp_path / "y.csv"
         save_measurements(y, meas)
         out = tmp_path / "run"
@@ -243,3 +243,40 @@ class TestCampaigns:
         import dataclasses
         effective = dataclasses.replace(config, base_seed=9)
         assert (out / effective.config_hash() / "concentration.csv").exists()
+
+    def test_perturbation_at_zero_sigma(self, tmp_path, capsys):
+        config = ExperimentConfig(
+            kind="perturbation-check",
+            clump_spec=ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50),
+            sigmas=(0.0,),
+            trials_per_cell=2,
+        )
+        cfg_path = tmp_path / "cfg.json"
+        config.save(cfg_path)
+        out = tmp_path / "runs"
+        assert main(["perturbation", "--config", str(cfg_path), "--jobs", "1",
+                     "--out", str(out)]) == 0
+        summary = json.loads(
+            (out / config.config_hash() / "perturbation-check_summary.json").read_text()
+        )
+        assert summary["precondition_ok"] == 2
+        assert summary["violations"] == 0
+        assert "max_ratio_sup_to_bound" not in summary
+
+    @pytest.mark.parametrize("subcommand, config, message", [
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [0.0, 1.0]},
+         "tail bound is read at t = 1.2*E-bound, which is 0 at sigma 0"),
+        ("bounds-sweep",
+         {"kind": "upper-bound-sweep", "alphas": [0.04], "S": 3,
+          "clump_spec": ClumpSpec(2, (2, 1), alpha=0.04, beta=10.0, M=100).to_dict()},
+         "upper-bound-sweep uses a single-clump spec"),
+    ])
+    def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main([subcommand, "--config", str(cfg_path), "--jobs", "1",
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -128,7 +128,7 @@ class TestRunExperimentCounts:
         )
         records = run_experiment(config)
         assert len(records) == 8
-        assert all(r.hankel_norm > 0 for r in records)
+        assert all(r.values["hankel_norm"] > 0 for r in records)
 
     def test_sweep_count_and_bounds(self):
         config = ExperimentConfig(
@@ -140,7 +140,7 @@ class TestRunExperimentCounts:
         records = run_experiment(config)
         assert len(records) == 8
         for r in records:
-            assert r.lower_bound <= r.sigma_min_exact * (1 + 1e-12)
+            assert r.values["lower_bound"] <= r.values["sigma_min_exact"] * (1 + 1e-12)
 
     def test_upper_sweep_ceiling(self):
         config = ExperimentConfig(
@@ -153,7 +153,7 @@ class TestRunExperimentCounts:
         records = run_experiment(config)
         assert len(records) == 8
         for r in records:
-            assert r.sigma_min_exact <= r.upper_bound * (1 + 1e-12)
+            assert r.values["sigma_min_exact"] <= r.values["upper_bound"] * (1 + 1e-12)
 
 
 class TestDeterminism:
@@ -170,8 +170,8 @@ class TestDeterminism:
         b = run_experiment(config)
         for ra, rb in zip(a, b):
             assert ra.seed == rb.seed
-            assert ra.matched_error == rb.matched_error
-            assert ra.success == rb.success
+            assert ra.values["matched_error"] == rb.values["matched_error"]
+            assert ra.values["success"] == rb.values["success"]
 
     def test_jobs_do_not_change_results(self):
         config = ExperimentConfig(
@@ -184,8 +184,8 @@ class TestDeterminism:
         par = run_experiment(config, jobs=4)
         for ra, rb in zip(seq, par):
             assert ra.seed == rb.seed
-            assert ra.sup_diff == rb.sup_diff
-            assert ra.wedin_bound == rb.wedin_bound
+            assert ra.values["sup_diff"] == rb.values["sup_diff"]
+            assert ra.values["wedin_bound"] == rb.values["wedin_bound"]
 
     def test_csv_byte_identical(self, tmp_path):
         config = ExperimentConfig(
@@ -208,7 +208,7 @@ class TestNoiselessPhaseTransition:
             trials_per_cell=1,
         )
         records = run_experiment(config)
-        assert all(r.success for r in records)
+        assert all(r.values["success"] for r in records)
 
 
 class TestPerturbationCampaign:
@@ -220,10 +220,10 @@ class TestPerturbationCampaign:
             trials_per_cell=10,
         )
         records = run_experiment(config)
-        ok = [r for r in records if r.precondition_ok]
+        ok = [r for r in records if r.values["precondition_ok"]]
         assert ok, "expected some precondition-ok trials at these noise levels"
-        assert all(r.sup_diff <= r.wedin_bound for r in ok)
-        assert all(r.success for r in ok)
+        assert all(r.values["sup_diff"] <= r.values["wedin_bound"] for r in ok)
+        assert all(r.values["success"] for r in ok)
 
 
 class TestSummaries:
@@ -326,7 +326,7 @@ class TestNoiseThresholdEndToEnd:
             base_seed=2,
         )
         pert_records = run_experiment(pert)
-        within_eps = [r for r in pert_records if r.sup_diff <= eps]
+        within_eps = [r for r in pert_records if r.values["sup_diff"] <= eps]
         assert len(within_eps) >= 18
 
         phase = ExperimentConfig(
@@ -338,7 +338,7 @@ class TestNoiseThresholdEndToEnd:
             base_seed=3,
         )
         phase_records = run_experiment(phase)
-        assert sum(1 for r in phase_records if r.success) >= 18
+        assert sum(1 for r in phase_records if r.values["success"]) >= 18
 
 
 class TestPerCellFailureIsolation:
@@ -358,5 +358,50 @@ class TestPerCellFailureIsolation:
         )
         records = run_experiment(config)
         assert len(records) == 2
-        assert all(not r.success for r in records)
+        assert all(not r.values["success"] for r in records)
         assert all("LinAlgError" in r.error for r in records)
+
+
+TINY_CONFIGS = {
+    "sigma-min-sweep": dict(clump_spec=pair_spec(M=60), alphas=(0.5, 0.35, 0.25, 0.18),
+                            trials_per_cell=2),
+    "upper-bound-sweep": dict(clump_spec=pair_spec(M=100, alpha=0.04), alphas=(0.08, 0.04),
+                              S=3, trials_per_cell=2),
+    "perturbation-check": dict(clump_spec=pair_spec(M=40), sigmas=(0.05, 0.2),
+                               trials_per_cell=2),
+    "concentration": dict(M=30, L=15, sigmas=(0.5, 1.0), trials_per_cell=3),
+    "phase-transition": dict(clump_spec=pair_spec(M=40), alphas=(0.5, 0.4),
+                             sigmas=(0.0, 0.1), trials_per_cell=2),
+}
+
+SWEEP_HEADER = "alpha,M,S,lambda_max,A,sigma_min_exact,lower_bound,upper_bound,seed"
+CSV_HEADERS = {
+    "sigma-min-sweep": SWEEP_HEADER,
+    "upper-bound-sweep": SWEEP_HEADER,
+    "perturbation-check": "alpha,sigma,trial,seed,hankel_noise_norm,sigma_min_L,"
+                          "sigma_min_ML,x_min,sup_diff,wedin_bound,precondition_ok,"
+                          "success,error",
+    "concentration": "sigma,trial,seed,hankel_norm",
+    "phase-transition": "alpha,srf,sigma,trial,seed,matched_error,success,error",
+}
+
+
+class TestCampaignTable:
+    @pytest.mark.parametrize("kind", sorted(TINY_CONFIGS))
+    def test_header_and_jobs_independence(self, kind, tmp_path):
+        config = ExperimentConfig(kind=kind, base_seed=3, **TINY_CONFIGS[kind])
+        p1 = save_records(run_experiment(config, jobs=1), config, tmp_path / "j1")
+        p2 = save_records(run_experiment(config, jobs=2), config, tmp_path / "j2")
+        assert p1["csv"].read_text().splitlines()[0] == CSV_HEADERS[kind]
+        assert p1["csv"].read_bytes() == p2["csv"].read_bytes()
+        assert p1["summary"].read_bytes() == p2["summary"].read_bytes()
+
+    def test_sigma_min_sweep_row(self, tmp_path):
+        config = ExperimentConfig(kind="sigma-min-sweep", **TINY_CONFIGS["sigma-min-sweep"])
+        records = run_experiment(config)
+        first = records[0].values
+        lines = save_records(records, config, tmp_path)["csv"].read_text().splitlines()
+        assert lines[0] == SWEEP_HEADER
+        assert lines[1] == (f"0.5,60,2,2,1,{first['sigma_min_exact']!r},"
+                            f"{first['lower_bound']!r},,0-0-0-0")
+
