@@ -25,6 +25,7 @@ from srmusic.harness import (
     ExperimentConfig,
     run_experiment,
     save_records,
+    synthesize,
 )
 from srmusic.music import (
     UnderdeterminedPeaksError,
@@ -33,7 +34,6 @@ from srmusic.music import (
     music_estimate,
     save_measurements,
 )
-from srmusic.noise import draw_noise
 from srmusic.torus import (
     ClumpSpec,
     SupportSet,
@@ -44,6 +44,18 @@ from srmusic.torus import (
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Campaign subcommands: (name, config kinds it runs, help).
+CAMPAIGN_COMMANDS = (
+    ("bounds-sweep", ("sigma-min-sweep", "upper-bound-sweep"),
+     "sigma_min sweep over alphas (lower or upper bound kind)"),
+    ("perturbation", ("perturbation-check",),
+     "Monte Carlo check of the Wedin perturbation bound"),
+    ("concentration", ("concentration",),
+     "Monte Carlo check of the Hankel noise-norm concentration"),
+    ("phase-transition", ("phase-transition",),
+     "MUSIC success probability over an (SRF, sigma) grid"),
+)
 
 
 class CliUsageError(Exception):
@@ -81,7 +93,7 @@ def _load_support(path) -> SupportSet:
 
 
 def _cmd_gen_support(args) -> int:
-    spec = ClumpSpec.from_json(Path(args.spec).read_text())
+    spec = ClumpSpec.from_dict(json.loads(Path(args.spec).read_text()))
     support, partition = generate_clumps(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -147,11 +159,10 @@ def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
     else:
         raise ValueError("synthesis spec needs either 'clump_spec' or 'support'")
     amp = AmplitudeModel.from_dict(spec.get("amplitude_model", "random-phase-unit"))
-    x = amp.sample(rng, support.size)
     sigma = args.sigma if args.sigma is not None else spec.get("sigma", 0.0)
     kind = spec.get("noise_kind", "complex-circular")
-    y = vandermonde(support, M) @ x
-    return y + draw_noise(rng, sigma, kind, M), support, M
+    _, y0, eta = synthesize(support, M, sigma, rng, amp, kind)
+    return y0 + eta, support, M
 
 
 def _cmd_music(args) -> int:
@@ -233,15 +244,31 @@ def _run_campaign(args, expected_kinds: tuple[str, ...]) -> int:
     print(f"{config.kind}: {len(records)} records -> {paths['csv']}")
     if failures:
         print(f"  {len(failures)} cells recorded errors (see CSV error column)")
-    summary = json.loads(paths["summary"].read_text())
-    for key in ("slope", "r_squared", "precondition_ok", "violations"):
-        if key in summary:
-            print(f"  {key} = {summary[key]}")
+    _print_headlines(json.loads(paths["summary"].read_text()))
+    return 0
+
+
+def _print_headlines(summary: dict) -> None:
+    """Every scalar summary key, then each concentration report and SRF row."""
+    for key, value in summary.items():
+        if not isinstance(value, (list, dict)):
+            print(f"  {key} = {value}")
+    for rep in summary.get("reports", ()):
+        lo, hi = rep["tail_wilson"]
+        print(f"  {rep['kind']} sigma {rep['sigma']}: "
+              f"mean ||H(eta)|| = {rep['empirical_mean_norm']:.3f} "
+              f"(bound {rep['expectation_bound']:.3f}); "
+              f"P(norm >= {rep['tail_t']:.2f}) = {rep['empirical_tail_prob']:.4f} "
+              f"(bound {rep['tail_bound']:.4f}, Wilson {lo:.4f}..{hi:.4f})")
     if "table" in summary:
         tab = summary["table"]
-        print(f"  SRF columns: {['%.3g' % s for s in tab['srf']]}")
-        print(f"  level90:     {tab['level90']}")
-    return 0
+        for srf, level, row in zip(tab["srf"], tab["level90"], tab["success_rate"]):
+            print(f"  SRF {srf:4.2f}: level90 = {level}  rates = {np.round(row, 2)}")
+        defined = [(srf, level) for srf, level in zip(tab["srf"], tab["level90"]) if level]
+        if len(defined) >= 2:
+            log_srf, log_level = np.log(defined).T
+            slope = np.polyfit(log_srf, log_level, 1)[0]
+            print(f"  log-log slope of level90 vs SRF: {slope:.3f}")
 
 
 def build_parser() -> _Parser:
@@ -275,16 +302,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="runs/music")
     p.set_defaults(func=_cmd_music)
 
-    for name, kinds, helptext in (
-        ("bounds-sweep", ("sigma-min-sweep", "upper-bound-sweep"),
-         "sigma_min sweep over alphas (lower or upper bound kind)"),
-        ("perturbation", ("perturbation-check",),
-         "Monte Carlo check of the Wedin perturbation bound"),
-        ("concentration", ("concentration",),
-         "Monte Carlo check of the Hankel noise-norm concentration"),
-        ("phase-transition", ("phase-transition",),
-         "MUSIC success probability over an (SRF, sigma) grid"),
-    ):
+    for name, kinds, helptext in CAMPAIGN_COMMANDS:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="ExperimentConfig JSON (or a manifest)")
         p.add_argument("--seed", type=int, default=None, help="override the config base seed")

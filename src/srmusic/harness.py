@@ -18,7 +18,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -47,7 +47,7 @@ from srmusic.noise import (
     draw_noise,
     sample_noise,
 )
-from srmusic.torus import ClumpSpec, generate_clumps
+from srmusic.torus import ClumpSpec, SupportSet, from_fields, generate_clumps
 
 AMPLITUDE_KINDS = ("unit", "random-phase-unit", "random-modulus")
 
@@ -121,7 +121,7 @@ class ExperimentConfig:
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "sigmas", tuple(float(s) for s in self.sigmas))
         if self.kind not in CAMPAIGN_KINDS:
-            raise ValueError(f"kind must be one of {EXPERIMENT_KINDS}, got {self.kind!r}")
+            raise ValueError(f"kind must be one of {tuple(CAMPAIGN_KINDS)}, got {self.kind!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be at least 1")
         if self.base_seed < 0:
@@ -134,6 +134,14 @@ class ExperimentConfig:
         missing = [name for name in kind.requires if getattr(self, name) in (None, ())]
         if missing:
             raise ValueError(f"{self.kind} config is missing: {', '.join(missing)}")
+        if self.L is not None and not 0 <= self.L <= self.resolved_m:
+            raise ValueError(f"L = {self.L} outside [0, M] = [0, {self.resolved_m}]")
+        if self.clump_spec is not None:
+            for alpha in self.alphas:
+                try:
+                    replace(self.clump_spec, alpha=alpha)
+                except ValueError as exc:
+                    raise ValueError(f"alphas entry {alpha}: {exc}") from None
         if kind.check is not None:
             kind.check(self)
 
@@ -154,49 +162,25 @@ class ExperimentConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": CONFIG_SCHEMA,
-            "kind": self.kind,
-            "base_seed": self.base_seed,
-            "clump_spec": None if self.clump_spec is None else self.clump_spec.to_dict(),
-            "alphas": list(self.alphas),
-            "sigmas": list(self.sigmas),
-            "trials_per_cell": self.trials_per_cell,
-            "M": self.M,
-            "L": self.L,
-            "S": self.S,
-            "N": self.N,
-            "nu": self.nu,
-            "epsilon": self.epsilon,
-            "amplitude_model": self.amplitude_model.to_dict(),
-            "noise_kind": self.noise_kind,
-        }
+        out = {"schema": CONFIG_SCHEMA}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (ClumpSpec, AmplitudeModel)):
+                value = value.to_dict()
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        schema = d.get("schema", CONFIG_SCHEMA)
+        d = dict(d)
+        schema = d.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ValueError(f"unsupported config schema {schema}")
-        return cls(
-            kind=d["kind"],
-            base_seed=d.get("base_seed", 0),
-            clump_spec=None
-            if d.get("clump_spec") is None
-            else ClumpSpec.from_dict(d["clump_spec"]),
-            alphas=tuple(d.get("alphas", ())),
-            sigmas=tuple(d.get("sigmas", ())),
-            trials_per_cell=d.get("trials_per_cell", 1),
-            M=d.get("M"),
-            L=d.get("L"),
-            S=d.get("S"),
-            N=d.get("N"),
-            nu=d.get("nu", 2.0),
-            epsilon=d.get("epsilon", 1.0),
-            amplitude_model=AmplitudeModel.from_dict(
-                d.get("amplitude_model", "random-phase-unit")
-            ),
-            noise_kind=d.get("noise_kind", "complex-circular"),
-        )
+        if d.get("clump_spec") is not None:
+            d["clump_spec"] = ClumpSpec.from_dict(d["clump_spec"])
+        if "amplitude_model" in d:
+            d["amplitude_model"] = AmplitudeModel.from_dict(d["amplitude_model"])
+        return from_fields(cls, d)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -383,14 +367,18 @@ def _fill_upper_bounds(records: list[ExperimentRecord]) -> None:
         r.values["upper_bound"] = c_lam * r.alpha ** (r.values["lambda_max"] - 1)
 
 
-def _synthesize(config: ExperimentConfig, spec: ClumpSpec, sigma: float,
-                rng: np.random.Generator) -> tuple:
-    """Draw a support from spec, its amplitudes x, y0 = V x and a noise vector."""
-    M = config.resolved_m
-    support, _ = generate_clumps(spec, seed=rng)
-    x = config.amplitude_model.sample(rng, spec.total_points)
+def synthesize(support: SupportSet, M: int, sigma: float, rng: np.random.Generator,
+               amplitude_model: AmplitudeModel, noise_kind: str) -> tuple:
+    """Amplitudes x for the support, y0 = V x and a noise vector, in RNG order."""
+    x = amplitude_model.sample(rng, support.size)
     y0 = vandermonde(support, M) @ x
-    return support, x, y0, draw_noise(rng, sigma, config.noise_kind, M)
+    return x, y0, draw_noise(rng, sigma, noise_kind, M)
+
+
+def _check_hankel_split(config: ExperimentConfig) -> None:
+    S, L, M = config.clump_spec.total_points, config.resolved_l, config.resolved_m
+    if not S <= L <= M + 1 - S:
+        raise ValueError(f"{config.kind} needs S <= L <= M+1-S, got S={S}, L={L}, M={M}")
 
 
 def _perturbation_check(config: ExperimentConfig) -> Callable[..., dict]:
@@ -401,7 +389,10 @@ def _perturbation_check(config: ExperimentConfig) -> Callable[..., dict]:
     S = spec.total_points
 
     def trial(alpha, sigma, seed):
-        support, x, y0, eta = _synthesize(config, spec, sigma, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        support, _ = generate_clumps(spec, seed=rng)
+        x, y0, eta = synthesize(support, M, sigma, rng, config.amplitude_model,
+                                config.noise_kind)
         u_clean = svd_split(hankel(y0, L), S).signal_space
         u_noisy = svd_split(hankel(y0 + eta, L), S).signal_space
         sup = correlation_sup_diff(u_clean, u_noisy, N)
@@ -451,7 +442,9 @@ def _phase_transition(config: ExperimentConfig) -> Callable[..., dict]:
 
     def trial(alpha, sigma, seed):
         rng = np.random.default_rng(seed)
-        support, _, y0, eta = _synthesize(config, replace(spec, alpha=alpha), sigma, rng)
+        support, _ = generate_clumps(replace(spec, alpha=alpha), seed=rng)
+        _, y0, eta = synthesize(support, M, sigma, rng, config.amplitude_model,
+                                config.noise_kind)
         estimate = music_estimate(y0 + eta, S=S, L=L, N=N, refine=True)
         err = match_supports(support, estimate.recovered)
         return {"matched_error": err, "success": bool(err < alpha / (2.0 * M))}
@@ -596,6 +589,7 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
     ),
     "perturbation-check": CampaignKind(
         requires=("clump_spec", "sigmas"),
+        check=_check_hankel_split,
         axes=("sigmas",),
         prepare=_perturbation_check,
         columns=(
@@ -617,6 +611,7 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
     ),
     "phase-transition": CampaignKind(
         requires=("clump_spec", "alphas", "sigmas"),
+        check=_check_hankel_split,
         axes=("alphas", "sigmas"),
         prepare=_phase_transition,
         columns=("alpha", "srf", "sigma", "trial", "seed", "matched_error", "success",
@@ -628,8 +623,6 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
         },
     ),
 }
-
-EXPERIMENT_KINDS = tuple(CAMPAIGN_KINDS)
 
 
 def _fmt(v):

@@ -8,10 +8,8 @@ kind; both are validated empirically. Logs are natural throughout.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -159,12 +157,6 @@ class ConcentrationReport:
             "L": self.L,
             "tail_wilson": list(self.tail_wilson),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n")
 
 
 def concentration_report(

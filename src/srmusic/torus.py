@@ -8,9 +8,8 @@ at least beta/M.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -39,6 +38,19 @@ class InterClumpGapViolation(ClumpValidationError):
 
 class InfeasibleSpecError(ValueError):
     """A clump specification cannot be placed on the unit circumference."""
+
+
+def from_fields(cls, d: dict):
+    """cls(**d) for a dataclass; an unknown or missing key is a ValueError."""
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in d
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{cls.__name__} is missing: {', '.join(missing)}")
+    return cls(**d)
 
 
 def torus_distance(a: float, b: float) -> float:
@@ -77,10 +89,6 @@ class SupportSet:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
-
-    def rotated(self, c: float) -> "SupportSet":
-        """Support set with every point shifted by c (mod 1)."""
-        return SupportSet([(p + c) % 1.0 for p in self.points])
 
     def to_dict(self) -> dict:
         return {"points": list(self.points)}
@@ -179,22 +187,7 @@ class ClumpSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ClumpSpec":
-        return cls(
-            num_clumps=d["num_clumps"],
-            clump_sizes=tuple(d["clump_sizes"]),
-            alpha=d["alpha"],
-            beta=d["beta"],
-            M=d["M"],
-            anchors=None if d.get("anchors") is None else tuple(d["anchors"]),
-            jitter=d.get("jitter", 0.0),
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClumpSpec":
-        return cls.from_dict(json.loads(text))
+        return from_fields(cls, d)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from srmusic.cli import main
+from srmusic.cli import CAMPAIGN_COMMANDS, main
 from srmusic.harness import ExperimentConfig
 from srmusic.music import save_measurements
 from srmusic.torus import ClumpSpec, SupportSet
@@ -43,7 +44,7 @@ class TestGenSupport:
     def test_writes_support_and_manifest(self, tmp_path, capsys):
         spec = ClumpSpec(2, (2, 2), alpha=0.5, beta=10.0, M=100)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec.to_json())
+        spec_path.write_text(json.dumps(spec.to_dict()))
         out = tmp_path / "run"
         code = main(["gen-support", "--spec", str(spec_path), "--seed", "3",
                      "--out", str(out)])
@@ -58,7 +59,7 @@ class TestGenSupport:
     def test_infeasible_spec_exit_one(self, tmp_path, capsys):
         spec = ClumpSpec(2, (2, 2), alpha=0.5, beta=60.0, M=100)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(spec.to_json())
+        spec_path.write_text(json.dumps(spec.to_dict()))
         assert main(["gen-support", "--spec", str(spec_path),
                      "--out", str(tmp_path / "run")]) == 1
 
@@ -263,6 +264,29 @@ class TestCampaigns:
         assert summary["violations"] == 0
         assert "max_ratio_sup_to_bound" not in summary
 
+    @pytest.mark.parametrize("subcommand, config, headlines", [
+        ("bounds-sweep",
+         {"kind": "upper-bound-sweep", "S": 3, "alphas": [0.09, 0.06, 0.04, 0.03],
+          "clump_spec": ClumpSpec(1, (2,), alpha=0.09, beta=1.0, M=100).to_dict()},
+         ["  expected_slope = 1\n", "  fitted_ceiling_constant = "]),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cell": 20},
+         ["  complex-circular sigma 1.0: mean ||H(eta)|| = ", ", Wilson 0."]),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5, 0.4], "sigmas": [0.0, 0.01],
+          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+         ["  SRF 2.00: level90 = 0.01  rates = [1. 1.]\n",
+          "  log-log slope of level90 vs SRF: 0.000\n"]),
+    ])
+    def test_headlines_printed(self, tmp_path, capsys, subcommand, config, headlines):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([subcommand, "--config", str(cfg_path), "--jobs", "1",
+                     "--out", str(tmp_path / "runs")]) == 0
+        out = capsys.readouterr().out
+        for line in headlines:
+            assert line in out
+
     @pytest.mark.parametrize("subcommand, config, message", [
         ("concentration",
          {"kind": "concentration", "M": 30, "L": 15, "sigmas": [0.0, 1.0]},
@@ -271,6 +295,21 @@ class TestCampaigns:
          {"kind": "upper-bound-sweep", "alphas": [0.04], "S": 3,
           "clump_spec": ClumpSpec(2, (2, 1), alpha=0.04, beta=10.0, M=100).to_dict()},
          "upper-bound-sweep uses a single-clump spec"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "L": 80,
+          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+         "L = 80 outside [0, M] = [0, 50]"),
+        ("perturbation",
+         {"kind": "perturbation-check", "sigmas": [0.1], "L": 1,
+          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+         "perturbation-check needs S <= L <= M+1-S, got S=2, L=1, M=50"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.4, 0.6], "sigmas": [0.1],
+          "clump_spec": ClumpSpec(1, (3,), alpha=0.4, beta=1.0, M=50).to_dict()},
+         "alphas entry 0.6: clump of 3 points"),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cel": 5},
+         "unknown ExperimentConfig keys: trials_per_cel"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"
@@ -280,3 +319,20 @@ class TestCampaigns:
                      "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+def test_committed_configs_present():
+    assert len(CONFIGS) >= 7
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_committed_config_is_canonical(path, tmp_path):
+    """Each file is what ExperimentConfig.save writes for it (so its hash cannot
+    drift), and exactly one campaign subcommand runs its kind."""
+    config = ExperimentConfig.load(path)
+    config.save(tmp_path / "saved.json")
+    assert (tmp_path / "saved.json").read_bytes() == path.read_bytes()
+    assert sum(config.kind in kinds for _, kinds, _ in CAMPAIGN_COMMANDS) == 1

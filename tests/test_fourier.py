@@ -150,7 +150,9 @@ class TestSpectralQuantities:
         support = random_support(rng, 4)
         M = 64
         base = sigma_min(vandermonde(support, M))
-        rotated = sigma_min(vandermonde(support.rotated(0.37), M))
+        rotated = sigma_min(
+            vandermonde(SupportSet([(p + 0.37) % 1.0 for p in support.points]), M)
+        )
         reflected = sigma_min(
             vandermonde(SupportSet([(-p) % 1.0 for p in support.points]), M)
         )

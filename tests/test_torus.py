@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -204,7 +205,7 @@ class TestValidateClumps:
         spec = ClumpSpec(2, (2, 3), alpha=0.25, beta=10.0, M=500)
         support, partition = generate_clumps(spec, seed=9)
         for c in (0.17, 0.5, 0.93):
-            rotated = support.rotated(c)
+            rotated = SupportSet([(p + c) % 1.0 for p in support.points])
             again = validate_clumps(rotated, 500, partition.alpha, partition.beta)
             assert sorted(again.clump_sizes) == sorted(partition.clump_sizes)
 
@@ -236,7 +237,7 @@ class TestBetaCondition:
 class TestClumpSpecJson:
     def test_round_trip(self):
         spec = ClumpSpec(2, (2, 3), alpha=0.25, beta=10.0, M=500, jitter=0.5)
-        assert ClumpSpec.from_json(spec.to_json()) == spec
+        assert ClumpSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_optional_fields_default(self):
         spec = ClumpSpec.from_dict(
@@ -244,6 +245,14 @@ class TestClumpSpecJson:
         )
         assert spec.anchors is None
         assert spec.jitter == 0.0
+
+    def test_unknown_and_missing_keys_rejected(self):
+        d = ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=10).to_dict()
+        with pytest.raises(ValueError, match="unknown ClumpSpec keys: jiter"):
+            ClumpSpec.from_dict({**d, "jiter": 0.5})
+        del d["beta"]
+        with pytest.raises(ValueError, match="ClumpSpec is missing: beta"):
+            ClumpSpec.from_dict(d)
 
     def test_invariant_checks(self):
         with pytest.raises(ValueError):
