@@ -44,6 +44,8 @@ from srmusic.torus import (
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SYNTHESIS_KEYS = ("schema", "support", "clump_spec", "M", "amplitude_model", "sigma",
+                  "noise_kind")
 
 # Campaign subcommands: (name, config kinds it runs, help).
 CAMPAIGN_COMMANDS = (
@@ -148,6 +150,9 @@ def _cmd_sigma_min(args) -> int:
 def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
     """Build measurements from a synthesis spec file; returns (y, truth, M)."""
     spec = json.loads(Path(args.synthesize).read_text())
+    unknown = [key for key in spec if key not in SYNTHESIS_KEYS]
+    if unknown:
+        raise ValueError(f"unknown synthesis spec keys: {', '.join(unknown)}")
     rng = np.random.default_rng(args.seed)
     if "clump_spec" in spec and spec["clump_spec"] is not None:
         cspec = ClumpSpec.from_dict(spec["clump_spec"])
@@ -328,7 +333,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, UnderdeterminedPeaksError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

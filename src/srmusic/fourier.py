@@ -1,8 +1,12 @@
 """Fourier/Vandermonde matrices, Hankel matrices, SVD splits.
 
-All spectral quantities come from dense SVDs (thin where singular vectors
-are needed); at desk scale (M up to a few thousand) this is affordable and
-removes approximation error from the bound checks.
+Vandermonde spectra and small Hankel matrices use dense SVDs (thin where
+singular vectors are needed). A Hankel matrix whose shorter side exceeds
+DENSE_MAX is not formed: hankel returns a HankelOperator that applies it by
+FFT, and svd_split and spectral_norm take its top singular triplets from
+ARPACK's Lanczos iteration (scipy svds). They fall back to the dense SVD
+when ARPACK does not converge, or when the split at rank S is too weak for
+the Lanczos subspace to be trusted.
 """
 
 from __future__ import annotations
@@ -15,6 +19,12 @@ import scipy.linalg
 
 from srmusic.torus import SupportSet
 
+# hankel forms the matrix while its shorter side has at most this many entries.
+DENSE_MAX = 512
+# Below sqrt(eps)*sigma_1 a singular value is lost in the rounding of the
+# Gram matrix that ARPACK iterates on, and its Ritz vector with it.
+_RITZ_FLOOR = np.sqrt(np.finfo(float).eps)
+
 
 @dataclass(frozen=True)
 class HankelSvd:
@@ -22,11 +32,46 @@ class HankelSvd:
 
     signal_space has the top-S left singular vectors as orthonormal
     columns; its orthogonal complement in C^(L+1) is the noise space.
-    singular_values holds the full set, nonincreasing.
+    singular_values holds sigma_1..sigma_{S+1}, nonincreasing (fewer when
+    the matrix has fewer).
     """
 
     signal_space: np.ndarray
     singular_values: np.ndarray
+
+
+class HankelOperator:
+    """(L+1) x (M-L+1) Hankel matrix y[i+j], applied by FFT and never formed.
+
+    H x is the correlation sum_j y[i+j] x[j], and H* z the same sum over
+    conj(y). Each is one product with a precomputed FFT of y or conj(y) at
+    a power-of-two length n > M, so no index wraps around. svds accepts it
+    as a linear operator through its shape, dtype, matvec and rmatvec.
+    """
+
+    def __init__(self, y: np.ndarray, L: int):
+        self._y = np.array(y)
+        M = len(self._y) - 1
+        self.shape = (L + 1, M - L + 1)
+        self.dtype = np.dtype(complex)
+        self._n = 1 << M.bit_length()
+        self._fft_y = np.fft.fft(self._y, self._n)
+        self._fft_conj_y = np.fft.fft(self._y.conj(), self._n)
+
+    def _correlate(self, fft_kernel: np.ndarray, x, length: int) -> np.ndarray:
+        # FFT of sum_j k[i+j] x[j] is FFT(k) times the unscaled inverse FFT of x.
+        x_hat = np.fft.ifft(np.ravel(x), self._n, norm="forward")
+        return np.fft.ifft(fft_kernel * x_hat)[:length]
+
+    def matvec(self, x) -> np.ndarray:
+        return self._correlate(self._fft_y, x, self.shape[0])
+
+    def rmatvec(self, z) -> np.ndarray:
+        return self._correlate(self._fft_conj_y, z, self.shape[1])
+
+    def toarray(self) -> np.ndarray:
+        L = self.shape[0] - 1
+        return scipy.linalg.hankel(self._y[: L + 1], self._y[L:])
 
 
 def vandermonde(omega: SupportSet, M: int) -> np.ndarray:
@@ -41,30 +86,67 @@ def vandermonde(omega: SupportSet, M: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(np.arange(M + 1), omega.as_array()))
 
 
-def hankel(y: np.ndarray, L: int) -> np.ndarray:
-    """(L+1) x (M-L+1) Hankel matrix y[i+j] of a measurement vector of length M+1."""
+def hankel(y: np.ndarray, L: int) -> np.ndarray | HankelOperator:
+    """(L+1) x (M-L+1) Hankel matrix y[i+j] of a measurement vector of length M+1.
+
+    An ndarray while min(L+1, M-L+1) <= DENSE_MAX, a HankelOperator above.
+    """
     y = np.asarray(y)
     M = len(y) - 1
     if not (0 <= L <= M):
         raise ValueError(f"L = {L} outside [0, {M}] for {M + 1} measurements")
+    if min(L + 1, M - L + 1) > DENSE_MAX:
+        return HankelOperator(y, L)
     return scipy.linalg.hankel(y[: L + 1], y[L:])
 
 
-def svd_split(H: np.ndarray, S: int) -> HankelSvd:
-    """Thin SVD of an (L+1)-row Hankel matrix, left subspace split at rank S."""
+def svd_split(H: np.ndarray | HankelOperator, S: int) -> HankelSvd:
+    """Top-S left singular subspace of an (L+1)-row Hankel matrix.
+
+    A HankelOperator is split by Lanczos on its top S+1 singular triplets.
+    The dense thin SVD is used instead when ARPACK does not converge, when
+    sigma_S <= 2*sigma_{S+1} (too small a gap for the subspace to settle),
+    or when sigma_S <= sqrt(eps)*sigma_1.
+    """
     rows, cols = H.shape
     L = rows - 1
     if not (0 <= S <= min(rows, cols)):
         raise ValueError(f"S = {S} must lie in [0, min({rows}, {cols})]")
     if S > L:
         raise ValueError(f"S = {S} leaves no noise space for L = {L}")
+    if isinstance(H, HankelOperator):
+        top = _lanczos(H, S + 1)
+        if top is not None:
+            u, s = top
+            if S == 0 or (s[S - 1] > 2.0 * s[S] and s[S - 1] > _RITZ_FLOOR * s[0]):
+                return HankelSvd(signal_space=u[:, :S], singular_values=s)
+        H = H.toarray()
     try:
         u, s, _ = np.linalg.svd(H, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"SVD failed on a {rows}x{cols} Hankel matrix: {exc}"
         ) from exc
-    return HankelSvd(signal_space=u[:, :S], singular_values=s)
+    return HankelSvd(signal_space=u[:, :S], singular_values=s[: S + 1])
+
+
+def _lanczos(H: HankelOperator, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Top-k left singular vectors and values of H, descending; None when
+    ARPACK does not converge, or cannot take k (complex ARPACK needs
+    k < min(shape) - 1), and the caller goes dense."""
+    if k >= min(H.shape) - 1:
+        return None
+    # Imported here, so that runs which never leave the dense path do not
+    # carry scipy.sparse.linalg in memory.
+    from scipy.sparse.linalg import ArpackNoConvergence, svds
+
+    try:
+        u, s, _ = svds(H, k=k, v0=np.ones(min(H.shape), dtype=complex), tol=0,
+                       return_singular_vectors="u")
+    except ArpackNoConvergence:
+        return None
+    order = np.argsort(s)[::-1]
+    return u[:, order], s[order]
 
 
 def _singular_values(matrix) -> np.ndarray:
@@ -83,5 +165,10 @@ def sigma_min(matrix) -> float:
 
 
 def spectral_norm(matrix) -> float:
-    """Operator 2-norm: the largest singular value."""
+    """Operator 2-norm: the largest singular value (by Lanczos for a HankelOperator)."""
+    if isinstance(matrix, HankelOperator):
+        top = _lanczos(matrix, 1)
+        if top is not None:
+            return float(top[1][0])
+        matrix = matrix.toarray()
     return float(_singular_values(matrix).max())

@@ -63,6 +63,10 @@ class UnderdeterminedPeaksError(RuntimeError):
         self.wanted = wanted
 
 
+class RankDeficientError(np.linalg.LinAlgError):
+    """S exceeds the numerical rank of the measurement Hankel matrix."""
+
+
 @dataclass(frozen=True)
 class ImagingGrid:
     """Noise-space correlation and imaging function sampled on {k/N}."""
@@ -76,11 +80,10 @@ class ImagingGrid:
         return np.arange(self.resolution) / self.resolution
 
     def save_csv(self, path) -> None:
-        with open(Path(path), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["omega", "R", "J"])
-            for w, r, j in zip(self.nodes, self.values_R, self.values_J):
-                writer.writerow([repr(float(w)), repr(float(r)), repr(float(j))])
+        """CSV omega,R,J of repr floats with CRLF line ends, as csv.writer writes it."""
+        cols = np.stack([self.nodes, self.values_R, self.values_J])
+        rows = "".join(map("{!r},{!r},{!r}\r\n".format, *cols.tolist()))
+        Path(path).write_text("omega,R,J\r\n" + rows, newline="")
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,8 @@ def music_estimate(
     hill's edges by more than rounding is a candidate, and the S largest
     candidates are returned: on their fine sample, or with refine polished
     by golden-section search between their fine neighbors. Raises
+    RankDeficientError when sigma_S of the Hankel matrix is at most
+    max(L+1, M-L+1)*eps*sigma_1 (numpy's matrix_rank tolerance), and
     UnderdeterminedPeaksError when fewer than S candidates are found.
 
     Only the signal space is used: the grid R comes from one FFT of its S
@@ -222,7 +227,15 @@ def music_estimate(
     if N < MIN_GRID_FACTOR * M:
         raise ValueError(f"grid resolution {N} below {MIN_GRID_FACTOR}*M = {MIN_GRID_FACTOR * M}")
 
-    U = svd_split(hankel(y, L), S).signal_space
+    split = svd_split(hankel(y, L), S)
+    s = split.singular_values
+    rank_tol = max(L + 1, M - L + 1) * np.finfo(float).eps * s[0]
+    if s[S - 1] <= rank_tol:
+        raise RankDeficientError(
+            f"S = {S} is above the numerical rank of the {L + 1}x{M - L + 1} Hankel "
+            f"matrix: sigma_S = {s[S - 1]:.3g} <= {rank_tol:.3g}"
+        )
+    U = split.signal_space
     correlation = partial(noise_correlation, U)
     values_r = _grid_correlation(U, N)
     with np.errstate(divide="ignore"):

@@ -123,11 +123,35 @@ class TestMusic:
 
     def test_too_few_peaks_exit_two(self, tmp_path, capsys):
         meas = tmp_path / "y.csv"
-        save_measurements(np.zeros(101, dtype=complex), meas)
+        y = np.zeros(101, dtype=complex)
+        y[0] = 1.0  # rank one, but R is constant on the torus
+        save_measurements(y, meas)
         assert main(["music", "--input", str(meas), "--S", "1",
                      "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["numerical failure: found 0 local maxima of the imaging function, need 1"]
+
+    @pytest.mark.parametrize("y, S", [
+        (np.zeros(101, dtype=complex), 1),
+        (vandermonde(SupportSet([0.2, 0.7]), 100) @ np.array([1.0, 1.0]), 3),
+    ], ids=["zero", "two-sources-S3"])
+    def test_s_above_rank_exit_two(self, tmp_path, capsys, y, S):
+        meas = tmp_path / "y.csv"
+        save_measurements(y, meas)
+        out = tmp_path / "r"
+        assert main(["music", "--input", str(meas), "--S", str(S), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"numerical failure: S = {S} is above the numerical rank of the 51x51" in err
+        assert not out.exists()
+
+    def test_unknown_synthesis_key_exit_one(self, tmp_path, capsys):
+        spec = {"support": {"points": [0.2, 0.7]}, "M": 100, "sigam": 0.5}
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        assert main(["music", "--synthesize", str(path), "--out", str(out)]) == 1
+        assert "unknown synthesis spec keys: sigam" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_measurement_exit_one(self, tmp_path, capsys):
         y = np.ones(101, dtype=complex)
@@ -310,6 +334,13 @@ class TestCampaigns:
         ("concentration",
          {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cel": 5},
          "unknown ExperimentConfig keys: trials_per_cel"),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": 1.0},
+         "error: 'float' object is not iterable"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "amplitude_model": None,
+          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+         "error: 'NoneType' object is not subscriptable"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

@@ -1,9 +1,14 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srmusic.fourier import (
+    DENSE_MAX,
+    HankelOperator,
     hankel,
     sigma_min,
     spectral_norm,
@@ -172,3 +177,122 @@ class TestSpectralQuantities:
         for d in np.linspace(1.0, M / 2.0, 25):
             v = sigma_min(vandermonde(SupportSet([0.0, d / M]), M))
             assert v <= math.sqrt(M + 1) + 1e-9
+
+
+def measurements(seed, M, S, sigma, real):
+    """y = Phi_M x + sigma*noise whose Hankel matrix has signal rank S.
+
+    Real y is Re(Phi_M x) over S/2 sources in (0.05, 0.45): each source and
+    its mirror image give two of the S singular values.
+    """
+    rng = np.random.default_rng(seed)
+    k = S // 2 if real else S
+    span = 0.4 if real else 1.0
+    points = 0.05 * real + span * (np.arange(k) + rng.uniform(0.2, 0.8, k)) / k
+    x = np.exp(2j * np.pi * rng.uniform(size=k))
+    y = vandermonde(SupportSet(points), M) @ x
+    if real:
+        return y.real + sigma * rng.normal(size=M + 1)
+    return y + sigma * (rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1))
+
+
+def projector(U):
+    return U @ U.conj().T
+
+
+# (M, L): square, more rows than columns, more columns than rows; all sides > DENSE_MAX.
+OPERATOR_SHAPES = [(1100, 550), (1100, 580), (1100, 520)]
+
+
+class TestLanczosPath:
+    """hankel above DENSE_MAX against the dense SVD of the same matrix."""
+
+    @given(st.sampled_from(OPERATOR_SHAPES), st.booleans(), st.integers(1, 3),
+           st.sampled_from([0.0, 1e-3, 1.0, 30.0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_matches_dense(self, shape, real, half_rank, sigma, seed):
+        M, L = shape
+        S = 2 * half_rank if real else half_rank
+        H = hankel(measurements(seed, M, S, sigma, real), L)
+        assert isinstance(H, HankelOperator)
+        A = H.toarray()
+        split, dense = svd_split(H, S), svd_split(A, S)
+        s = dense.singular_values
+        assert spectral_norm(H) == pytest.approx(s[0], rel=1e-12, abs=0)
+        assert split.signal_space.shape == (L + 1, S)
+        assert np.max(np.abs(split.singular_values - s)) <= 1e-12 * s[0]
+        if s[S - 1] > 2.0 * s[S]:
+            assert np.max(np.abs(projector(split.signal_space)
+                                 - projector(dense.signal_space))) <= 1e-10
+        else:  # gap fallback: the dense SVD of the same matrix
+            assert np.array_equal(split.signal_space, dense.signal_space)
+
+    def test_noiseless_rank_s(self):
+        M, L, S = 1200, 600, 3
+        H = hankel(measurements(7, M, S, 0.0, real=False), L)
+        split, dense = svd_split(H, S), svd_split(H.toarray(), S)
+        s = dense.singular_values
+        assert s[S] / s[0] <= TAU_RANK
+        assert not np.array_equal(split.signal_space, dense.signal_space)  # Lanczos ran
+        assert np.max(np.abs(projector(split.signal_space)
+                             - projector(dense.signal_space))) <= 1e-10
+        assert split.singular_values[:S] == pytest.approx(s[:S], rel=1e-12, abs=0)
+
+    def test_high_noise_takes_gap_fallback(self):
+        M, L, S = 1100, 550, 2
+        H = hankel(measurements(3, M, S, 30.0, real=False), L)
+        split, dense = svd_split(H, S), svd_split(H.toarray(), S)
+        assert dense.singular_values[S - 1] <= 2.0 * dense.singular_values[S]
+        assert np.array_equal(split.signal_space, dense.signal_space)
+        assert np.array_equal(split.singular_values, dense.singular_values)
+
+    def test_s_above_rank_takes_ritz_fallback(self):
+        # sigma_3 of a two-source Hankel is rounding, below sqrt(eps)*sigma_1.
+        H = hankel(measurements(5, 1100, 2, 0.0, real=False), 550)
+        split, dense = svd_split(H, 3), svd_split(H.toarray(), 3)
+        assert np.array_equal(split.signal_space, dense.signal_space)
+
+    def test_matvec_rmatvec(self):
+        rng = np.random.default_rng(11)
+        for M, L in OPERATOR_SHAPES:
+            H = hankel(rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1), L)
+            A = H.toarray()
+            x = rng.normal(size=M - L + 1) + 1j * rng.normal(size=M - L + 1)
+            z = rng.normal(size=L + 1) + 1j * rng.normal(size=L + 1)
+            assert np.allclose(H.matvec(x), A @ x, rtol=0, atol=1e-10)
+            assert np.allclose(H.rmatvec(z), A.conj().T @ z, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("M, L, operator", [
+        (2 * DENSE_MAX - 2, DENSE_MAX - 1, False),
+        (2 * DENSE_MAX, DENSE_MAX, True),
+        (2000, DENSE_MAX - 1, False),
+        (2000, DENSE_MAX, True),
+        (2000, 2000 - DENSE_MAX, True),
+        (2000, 2001 - DENSE_MAX, False),
+    ])
+    def test_cutoff_edge(self, M, L, operator):
+        H = hankel(np.arange(M + 1.0), L)
+        assert isinstance(H, HankelOperator) == operator
+        assert isinstance(H, np.ndarray) != operator
+        assert H.shape == (L + 1, M - L + 1)
+
+    def test_preconditions(self):
+        M, L = 1100, 550  # 551 x 551
+        H = hankel(measurements(1, M, 2, 1e-3, real=False), L)
+        with pytest.raises(ValueError):
+            svd_split(H, L + 2)
+        with pytest.raises(ValueError):
+            svd_split(H, L + 1)  # S = L + 1 leaves no noise space
+        empty = svd_split(H, 0)
+        assert empty.signal_space.shape == (L + 1, 0)
+        assert empty.singular_values[0] == pytest.approx(spectral_norm(H.toarray()), rel=1e-12)
+        # S + 1 >= min(shape) - 1 is more than complex ARPACK takes: the dense SVD answers.
+        for S in (L - 1, L):
+            split = svd_split(H, S)
+            assert np.array_equal(split.signal_space, svd_split(H.toarray(), S).signal_space)
+
+    def test_sparse_linalg_not_imported_on_load(self):
+        code = "import sys, srmusic.cli; print('scipy.sparse.linalg' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "False"

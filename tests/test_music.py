@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -10,6 +11,8 @@ from srmusic.fourier import hankel, spectral_norm, svd_split, vandermonde
 from srmusic.music import (
     HILL_OVERSAMPLING,
     PEAK_RTOL,
+    ImagingGrid,
+    RankDeficientError,
     UnderdeterminedPeaksError,
     _circular_local_maxima,
     _hill,
@@ -288,9 +291,22 @@ class TestMusicEstimate:
 
     def test_underdetermined_peaks(self):
         y = np.zeros(9, dtype=complex)
-        y[0] = 1.0  # rank-one Hankel, constant correlation on the grid
+        y[0] = y[8] = 1.0  # rank-two Hankel, constant correlation on the grid
         with pytest.raises(UnderdeterminedPeaksError, match="need 2"):
             music_estimate(y, S=2, L=4)
+
+    def test_s_above_numerical_rank(self):
+        # numpy's matrix_rank tolerance: sigma_S <= max(L+1, M-L+1)*eps*sigma_1.
+        y = np.zeros(9, dtype=complex)
+        y[0] = 1.0  # rank-one Hankel
+        with pytest.raises(RankDeficientError, match="S = 2 is above the numerical rank"):
+            music_estimate(y, S=2, L=4)
+        y0 = vandermonde(SupportSet([0.2, 0.7]), 60) @ np.array([1.0, 1.0j])
+        with pytest.raises(np.linalg.LinAlgError, match="S = 3"):
+            music_estimate(y0, S=3, L=30)
+        with pytest.raises(RankDeficientError):
+            music_estimate(np.zeros(101, dtype=complex), S=1)
+        assert music_estimate(y0, S=2, L=30).recovered.size == 2
 
     def test_close_peaks_sharing_a_grid_maximum(self):
         # Criterion-9 trial (SRF 3, sigma index 6, trial 0): the two peaks of
@@ -329,6 +345,24 @@ class TestMusicEstimate:
         rec = json.loads((tmp_path / "rec.json").read_text())
         assert rec["refined"] is True
         assert len(rec["points"]) == 2
+
+    def test_grid_csv_matches_csv_writer(self, tmp_path):
+        # The loop it replaced: csv.writer rows of repr floats. R = 0 gives J = inf.
+        support = SupportSet([0.25, 0.75])
+        grid = music_estimate(vandermonde(support, 20) @ np.array([1.0, 1.0]), S=2, L=10).grid
+        values_r = grid.values_R.copy()
+        values_r[[0, 5]] = 0.0
+        with np.errstate(divide="ignore"):
+            grid = ImagingGrid(grid.resolution, values_r, 1.0 / values_r)
+        grid.save_csv(tmp_path / "grid.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["omega", "R", "J"])
+            for w, r, j in zip(grid.nodes, grid.values_R, grid.values_J):
+                writer.writerow([repr(float(w)), repr(float(r)), repr(float(j))])
+        written = (tmp_path / "grid.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert b",0.0,inf\r\n" in written
 
 
 class TestCorrelationSupDiff:
