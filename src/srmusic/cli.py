@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, UnderdeterminedPeaksError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TypeError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,11 @@
 """Fourier/Vandermonde matrices, Hankel matrices, SVD splits.
 
-Vandermonde spectra and small Hankel matrices use dense SVDs (thin where
-singular vectors are needed). A Hankel matrix whose shorter side exceeds
-DENSE_MAX is not formed: hankel returns a HankelOperator that applies it by
-FFT, and svd_split and spectral_norm take its top singular triplets from
-ARPACK's Lanczos iteration (scipy svds). They fall back to the dense SVD
-when ARPACK does not converge, or when the split at rank S is too weak for
-the Lanczos subspace to be trusted.
+Singular values and vectors come from dense SVDs (thin where singular
+vectors are needed), with one exception: a Hankel matrix whose shorter side
+exceeds DENSE_MAX is not formed. hankel returns a HankelOperator that
+applies it by FFT, and spectral_norm takes its largest singular value from
+ARPACK's Lanczos iteration (scipy svds), falling back to the dense SVD when
+ARPACK does not converge. svd_split forms the matrix and splits it densely.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from srmusic.torus import SupportSet
 
 # hankel forms the matrix while its shorter side has at most this many entries.
 DENSE_MAX = 512
-# Below sqrt(eps)*sigma_1 a singular value is lost in the rounding of the
-# Gram matrix that ARPACK iterates on, and its Ritz vector with it.
-_RITZ_FLOOR = np.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -32,8 +28,7 @@ class HankelSvd:
 
     signal_space has the top-S left singular vectors as orthonormal
     columns; its orthogonal complement in C^(L+1) is the noise space.
-    singular_values holds sigma_1..sigma_{S+1}, nonincreasing (fewer when
-    the matrix has fewer).
+    singular_values holds the full set, nonincreasing.
     """
 
     signal_space: np.ndarray
@@ -103,10 +98,7 @@ def hankel(y: np.ndarray, L: int) -> np.ndarray | HankelOperator:
 def svd_split(H: np.ndarray | HankelOperator, S: int) -> HankelSvd:
     """Top-S left singular subspace of an (L+1)-row Hankel matrix.
 
-    A HankelOperator is split by Lanczos on its top S+1 singular triplets.
-    The dense thin SVD is used instead when ARPACK does not converge, when
-    sigma_S <= 2*sigma_{S+1} (too small a gap for the subspace to settle),
-    or when sigma_S <= sqrt(eps)*sigma_1.
+    A HankelOperator is formed first: the split is always the dense thin SVD.
     """
     rows, cols = H.shape
     L = rows - 1
@@ -115,11 +107,6 @@ def svd_split(H: np.ndarray | HankelOperator, S: int) -> HankelSvd:
     if S > L:
         raise ValueError(f"S = {S} leaves no noise space for L = {L}")
     if isinstance(H, HankelOperator):
-        top = _lanczos(H, S + 1)
-        if top is not None:
-            u, s = top
-            if S == 0 or (s[S - 1] > 2.0 * s[S] and s[S - 1] > _RITZ_FLOOR * s[0]):
-                return HankelSvd(signal_space=u[:, :S], singular_values=s)
         H = H.toarray()
     try:
         u, s, _ = np.linalg.svd(H, full_matrices=False)
@@ -127,26 +114,21 @@ def svd_split(H: np.ndarray | HankelOperator, S: int) -> HankelSvd:
         raise np.linalg.LinAlgError(
             f"SVD failed on a {rows}x{cols} Hankel matrix: {exc}"
         ) from exc
-    return HankelSvd(signal_space=u[:, :S], singular_values=s[: S + 1])
+    return HankelSvd(signal_space=u[:, :S], singular_values=s)
 
 
-def _lanczos(H: HankelOperator, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Top-k left singular vectors and values of H, descending; None when
-    ARPACK does not converge, or cannot take k (complex ARPACK needs
-    k < min(shape) - 1), and the caller goes dense."""
-    if k >= min(H.shape) - 1:
-        return None
+def _lanczos_norm(H: HankelOperator) -> float | None:
+    """Largest singular value of H by Lanczos; None when ARPACK does not converge."""
     # Imported here, so that runs which never leave the dense path do not
     # carry scipy.sparse.linalg in memory.
     from scipy.sparse.linalg import ArpackNoConvergence, svds
 
     try:
-        u, s, _ = svds(H, k=k, v0=np.ones(min(H.shape), dtype=complex), tol=0,
-                       return_singular_vectors="u")
+        s = svds(H, k=1, v0=np.ones(min(H.shape), dtype=complex), tol=0,
+                 return_singular_vectors=False)
     except ArpackNoConvergence:
         return None
-    order = np.argsort(s)[::-1]
-    return u[:, order], s[order]
+    return float(s[0])
 
 
 def _singular_values(matrix) -> np.ndarray:
@@ -167,8 +149,8 @@ def sigma_min(matrix) -> float:
 def spectral_norm(matrix) -> float:
     """Operator 2-norm: the largest singular value (by Lanczos for a HankelOperator)."""
     if isinstance(matrix, HankelOperator):
-        top = _lanczos(matrix, 1)
-        if top is not None:
-            return float(top[1][0])
+        norm = _lanczos_norm(matrix)
+        if norm is not None:
+            return norm
         matrix = matrix.toarray()
     return float(_singular_values(matrix).max())

@@ -95,7 +95,9 @@ class AmplitudeModel:
     def from_dict(cls, d) -> "AmplitudeModel":
         if isinstance(d, str):
             return cls(kind=d)
-        return cls(kind=d["kind"], modulus_range=tuple(d["range"]))
+        if not (isinstance(d, dict) and set(d) == {"kind", "range"}):
+            raise ValueError(f'amplitude_model must be a kind or {{"kind", "range"}}, got {d!r}')
+        return from_fields(cls, {"kind": d["kind"], "modulus_range": d["range"]})
 
 
 @dataclass(frozen=True)

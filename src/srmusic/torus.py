@@ -9,8 +9,10 @@ at least beta/M.
 from __future__ import annotations
 
 import math
+import numbers
+import types
 from dataclasses import MISSING, dataclass, fields
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,8 +42,31 @@ class InfeasibleSpecError(ValueError):
     """A clump specification cannot be placed on the unit circumference."""
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON-loaded value has the type a dataclass field declares.
+
+    A tuple field takes a JSON list; an int is a number for a float field,
+    and a bool is neither.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType):
+        return any(_fits(value, h) for h in args)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        return len(items) == len(value) and all(map(_fits, value, items))
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
 def from_fields(cls, d: dict):
-    """cls(**d) for a dataclass; an unknown or missing key is a ValueError."""
+    """cls(**d) for a dataclass; an unknown or missing key, or a value of the
+    wrong type, is a ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
     names = [f.name for f in fields(cls)]
     unknown = [key for key in d if key not in names]
     if unknown:
@@ -50,6 +75,10 @@ def from_fields(cls, d: dict):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"{cls.__name__} is missing: {', '.join(missing)}")
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        if f.name in d and not _fits(d[f.name], hints[f.name]):
+            raise ValueError(f"{cls.__name__} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
     return cls(**d)
 
 

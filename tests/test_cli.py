@@ -336,11 +336,18 @@ class TestCampaigns:
          "unknown ExperimentConfig keys: trials_per_cel"),
         ("concentration",
          {"kind": "concentration", "M": 30, "L": 15, "sigmas": 1.0},
-         "error: 'float' object is not iterable"),
+         "error: ExperimentConfig key 'sigmas' must be tuple[float, ...], got 1.0"),
         ("phase-transition",
          {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "amplitude_model": None,
           "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
-         "error: 'NoneType' object is not subscriptable"),
+         "error: amplitude_model must be a kind or {\"kind\", \"range\"}, got None"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1],
+          "clump_spec": dict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict(), M=50.5)},
+         "error: ClumpSpec key 'M' must be int, got 50.5"),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cell": True},
+         "error: ExperimentConfig key 'trials_per_cell' must be int, got True"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

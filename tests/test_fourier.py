@@ -196,10 +196,6 @@ def measurements(seed, M, S, sigma, real):
     return y + sigma * (rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1))
 
 
-def projector(U):
-    return U @ U.conj().T
-
-
 # (M, L): square, more rows than columns, more columns than rows; all sides > DENSE_MAX.
 OPERATOR_SHAPES = [(1100, 550), (1100, 580), (1100, 520)]
 
@@ -216,41 +212,21 @@ class TestLanczosPath:
         H = hankel(measurements(seed, M, S, sigma, real), L)
         assert isinstance(H, HankelOperator)
         A = H.toarray()
-        split, dense = svd_split(H, S), svd_split(A, S)
-        s = dense.singular_values
-        assert spectral_norm(H) == pytest.approx(s[0], rel=1e-12, abs=0)
-        assert split.signal_space.shape == (L + 1, S)
-        assert np.max(np.abs(split.singular_values - s)) <= 1e-12 * s[0]
-        if s[S - 1] > 2.0 * s[S]:
-            assert np.max(np.abs(projector(split.signal_space)
-                                 - projector(dense.signal_space))) <= 1e-10
-        else:  # gap fallback: the dense SVD of the same matrix
-            assert np.array_equal(split.signal_space, dense.signal_space)
-
-    def test_noiseless_rank_s(self):
-        M, L, S = 1200, 600, 3
-        H = hankel(measurements(7, M, S, 0.0, real=False), L)
-        split, dense = svd_split(H, S), svd_split(H.toarray(), S)
-        s = dense.singular_values
-        assert s[S] / s[0] <= TAU_RANK
-        assert not np.array_equal(split.signal_space, dense.signal_space)  # Lanczos ran
-        assert np.max(np.abs(projector(split.signal_space)
-                             - projector(dense.signal_space))) <= 1e-10
-        assert split.singular_values[:S] == pytest.approx(s[:S], rel=1e-12, abs=0)
-
-    def test_high_noise_takes_gap_fallback(self):
-        M, L, S = 1100, 550, 2
-        H = hankel(measurements(3, M, S, 30.0, real=False), L)
-        split, dense = svd_split(H, S), svd_split(H.toarray(), S)
-        assert dense.singular_values[S - 1] <= 2.0 * dense.singular_values[S]
+        dense = svd_split(A, S)
+        assert spectral_norm(H) == pytest.approx(dense.singular_values[0], rel=1e-12, abs=0)
+        split = svd_split(H, S)  # formed, then the same dense SVD
         assert np.array_equal(split.signal_space, dense.signal_space)
         assert np.array_equal(split.singular_values, dense.singular_values)
 
-    def test_s_above_rank_takes_ritz_fallback(self):
-        # sigma_3 of a two-source Hankel is rounding, below sqrt(eps)*sigma_1.
-        H = hankel(measurements(5, 1100, 2, 0.0, real=False), 550)
-        split, dense = svd_split(H, 3), svd_split(H.toarray(), 3)
-        assert np.array_equal(split.signal_space, dense.signal_space)
+    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
+        H = hankel(measurements(2, 1100, 2, 1.0, real=False), 550)
+        assert spectral_norm(H) == spectral_norm(H.toarray())
 
     def test_matvec_rmatvec(self):
         rng = np.random.default_rng(11)
@@ -285,11 +261,7 @@ class TestLanczosPath:
             svd_split(H, L + 1)  # S = L + 1 leaves no noise space
         empty = svd_split(H, 0)
         assert empty.signal_space.shape == (L + 1, 0)
-        assert empty.singular_values[0] == pytest.approx(spectral_norm(H.toarray()), rel=1e-12)
-        # S + 1 >= min(shape) - 1 is more than complex ARPACK takes: the dense SVD answers.
-        for S in (L - 1, L):
-            split = svd_split(H, S)
-            assert np.array_equal(split.signal_space, svd_split(H.toarray(), S).signal_space)
+        assert np.array_equal(svd_split(H, L).signal_space, svd_split(H.toarray(), L).signal_space)
 
     def test_sparse_linalg_not_imported_on_load(self):
         code = "import sys, srmusic.cli; print('scipy.sparse.linalg' in sys.modules)"

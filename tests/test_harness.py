@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ class TestAmplitudeModel:
             AmplitudeModel("gaussian")
         with pytest.raises(ValueError):
             AmplitudeModel("random-modulus")
+
+    @pytest.mark.parametrize("d, message", [
+        (None, "amplitude_model must be a kind"),
+        ({"kind": "random-modulus"}, "amplitude_model must be a kind"),
+        ({"kind": "random-modulus", "range": [0.5]},
+         "AmplitudeModel key 'modulus_range' must be tuple[float, float] | None, got [0.5]"),
+        ({"kind": "random-modulus", "range": [0.5, "2"]}, "key 'modulus_range'"),
+    ])
+    def test_from_dict_rejects_wrong_json(self, d, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AmplitudeModel.from_dict(d)
 
 
 class TestExperimentConfig:
