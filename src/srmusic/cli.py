@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,7 @@ from srmusic.music import (
 from srmusic.torus import (
     ClumpSpec,
     SupportSet,
+    from_fields,
     generate_clumps,
     min_separation,
     super_resolution_factor,
@@ -44,8 +45,6 @@ from srmusic.torus import (
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SYNTHESIS_KEYS = ("schema", "support", "clump_spec", "M", "amplitude_model", "sigma",
-                  "noise_kind")
 
 # Campaign subcommands: (name, config kinds it runs, help).
 CAMPAIGN_COMMANDS = (
@@ -58,6 +57,19 @@ CAMPAIGN_COMMANDS = (
     ("phase-transition", ("phase-transition",),
      "MUSIC success probability over an (SRF, sigma) grid"),
 )
+
+
+@dataclass(frozen=True)
+class SynthesisSpec:
+    """A `music --synthesize` spec: a support and M, or a clump_spec; then the noise."""
+
+    schema: int | None = None
+    support: dict | None = None
+    clump_spec: dict | None = None
+    M: int | None = None
+    amplitude_model: str | dict = "random-phase-unit"
+    sigma: float = 0.0
+    noise_kind: str = "complex-circular"
 
 
 class CliUsageError(Exception):
@@ -149,24 +161,21 @@ def _cmd_sigma_min(args) -> int:
 
 def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
     """Build measurements from a synthesis spec file; returns (y, truth, M)."""
-    spec = json.loads(Path(args.synthesize).read_text())
-    unknown = [key for key in spec if key not in SYNTHESIS_KEYS]
-    if unknown:
-        raise ValueError(f"unknown synthesis spec keys: {', '.join(unknown)}")
+    spec = from_fields(SynthesisSpec, json.loads(Path(args.synthesize).read_text()),
+                       name="synthesis spec")
     rng = np.random.default_rng(args.seed)
-    if "clump_spec" in spec and spec["clump_spec"] is not None:
-        cspec = ClumpSpec.from_dict(spec["clump_spec"])
+    if spec.clump_spec is not None:
+        cspec = ClumpSpec.from_dict(spec.clump_spec)
         support, _ = generate_clumps(cspec, seed=rng)
         M = cspec.M
-    elif "support" in spec:
-        support = SupportSet.from_dict(spec["support"])
-        M = spec["M"]
+    elif spec.support is not None and spec.M is not None:
+        support = SupportSet.from_dict(spec.support)
+        M = spec.M
     else:
-        raise ValueError("synthesis spec needs either 'clump_spec' or 'support'")
-    amp = AmplitudeModel.from_dict(spec.get("amplitude_model", "random-phase-unit"))
-    sigma = args.sigma if args.sigma is not None else spec.get("sigma", 0.0)
-    kind = spec.get("noise_kind", "complex-circular")
-    _, y0, eta = synthesize(support, M, sigma, rng, amp, kind)
+        raise ValueError("synthesis spec needs either 'clump_spec' or 'support' and 'M'")
+    amp = AmplitudeModel.from_dict(spec.amplitude_model)
+    sigma = args.sigma if args.sigma is not None else spec.sigma
+    _, y0, eta = synthesize(support, M, sigma, rng, amp, spec.noise_kind)
     return y0 + eta, support, M
 
 

@@ -62,23 +62,24 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def from_fields(cls, d: dict):
+def from_fields(cls, d: dict, name: str | None = None):
     """cls(**d) for a dataclass; an unknown or missing key, or a value of the
-    wrong type, is a ValueError."""
+    wrong type, is a ValueError. Messages call d name, or the class name."""
+    name = name or cls.__name__
     if not isinstance(d, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {d!r}")
+        raise ValueError(f"{name} must be a JSON object, got {d!r}")
     names = [f.name for f in fields(cls)]
     unknown = [key for key in d if key not in names]
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {', '.join(unknown)}")
+        raise ValueError(f"unknown {name} keys: {', '.join(unknown)}")
     missing = [f.name for f in fields(cls) if f.name not in d
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
-        raise ValueError(f"{cls.__name__} is missing: {', '.join(missing)}")
+        raise ValueError(f"{name} is missing: {', '.join(missing)}")
     hints = get_type_hints(cls)
     for f in fields(cls):
         if f.name in d and not _fits(d[f.name], hints[f.name]):
-            raise ValueError(f"{cls.__name__} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
+            raise ValueError(f"{name} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
     return cls(**d)
 
 
@@ -124,7 +125,7 @@ class SupportSet:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SupportSet":
-        return cls(d["points"])
+        return from_fields(cls, d)
 
 
 def min_separation(omega: SupportSet) -> float:

@@ -153,6 +153,21 @@ class TestMusic:
         assert "unknown synthesis spec keys: sigam" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"M": "100"}, "synthesis spec key 'M' must be int | None, got '100'"),
+        ({"support": {"points": 0.2}},
+         "SupportSet key 'points' must be tuple[float, ...], got 0.2"),
+        ({"sigma": "0.01"}, "synthesis spec key 'sigma' must be float, got '0.01'"),
+    ], ids=["M-string", "points-number", "sigma-string"])
+    def test_wrong_synthesis_type_exit_one(self, tmp_path, capsys, change, message):
+        spec = {"support": {"points": [0.2, 0.7]}, "M": 100, "sigma": 0.0, **change}
+        path = tmp_path / "synth.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "run"
+        assert main(["music", "--synthesize", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_non_finite_measurement_exit_one(self, tmp_path, capsys):
         y = np.ones(101, dtype=complex)
         y[7] = complex(np.nan, 0.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srmusic import fourier
 from srmusic.fourier import (
     DENSE_MAX,
     HankelOperator,
@@ -15,6 +16,7 @@ from srmusic.fourier import (
     svd_split,
     vandermonde,
 )
+from srmusic.music import RankDeficientError, music_estimate
 from srmusic.torus import SupportSet
 
 # Orthonormality / factorization / numerical-rank tolerances.
@@ -197,7 +199,26 @@ def measurements(seed, M, S, sigma, real):
 
 
 # (M, L): square, more rows than columns, more columns than rows; all sides > DENSE_MAX.
-OPERATOR_SHAPES = [(1100, 550), (1100, 580), (1100, 520)]
+OPERATOR_SHAPES = [(800, 400), (800, 410), (800, 390)]
+
+
+def assert_split_matches_dense(H, S):
+    """svd_split of an operator against the dense split of the formed matrix.
+
+    Returns whether subspace iteration answered (it keeps S+1 singular
+    values); a dense fallback must give the dense split bit for bit.
+    """
+    split, dense = svd_split(H, S), svd_split(H.toarray(), S)
+    if len(split.singular_values) == len(dense.singular_values):
+        assert np.array_equal(split.signal_space, dense.signal_space)
+        assert np.array_equal(split.singular_values, dense.singular_values)
+        return False
+    assert len(split.singular_values) == S + 1
+    u, v = split.signal_space, dense.signal_space
+    assert np.abs(u @ u.conj().T - v @ v.conj().T).max() <= 1e-10
+    np.testing.assert_allclose(split.singular_values[:S], dense.singular_values[:S],
+                               rtol=1e-12, atol=0)
+    return True
 
 
 class TestLanczosPath:
@@ -205,18 +226,15 @@ class TestLanczosPath:
 
     @given(st.sampled_from(OPERATOR_SHAPES), st.booleans(), st.integers(1, 3),
            st.sampled_from([0.0, 1e-3, 1.0, 30.0]), st.integers(0, 2**32 - 1))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=16, deadline=None)
     def test_matches_dense(self, shape, real, half_rank, sigma, seed):
         M, L = shape
         S = 2 * half_rank if real else half_rank
         H = hankel(measurements(seed, M, S, sigma, real), L)
         assert isinstance(H, HankelOperator)
         A = H.toarray()
-        dense = svd_split(A, S)
-        assert spectral_norm(H) == pytest.approx(dense.singular_values[0], rel=1e-12, abs=0)
-        split = svd_split(H, S)  # formed, then the same dense SVD
-        assert np.array_equal(split.signal_space, dense.signal_space)
-        assert np.array_equal(split.singular_values, dense.singular_values)
+        assert spectral_norm(H) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12, abs=0)
+        assert_split_matches_dense(H, S)
 
     def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
         import scipy.sparse.linalg
@@ -233,11 +251,19 @@ class TestLanczosPath:
         for M, L in OPERATOR_SHAPES:
             H = hankel(rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1), L)
             A = H.toarray()
-            x = rng.normal(size=M - L + 1) + 1j * rng.normal(size=M - L + 1)
-            z = rng.normal(size=L + 1) + 1j * rng.normal(size=L + 1)
+            x = rng.normal(size=(M - L + 1, 3)) + 1j * rng.normal(size=(M - L + 1, 3))
+            z = rng.normal(size=(L + 1, 3)) + 1j * rng.normal(size=(L + 1, 3))
+            assert np.allclose(H.matvec(x[:, 0]), A @ x[:, 0], rtol=0, atol=1e-10)
+            assert np.allclose(H.rmatvec(z[:, 0]), A.conj().T @ z[:, 0], rtol=0, atol=1e-10)
             assert np.allclose(H.matvec(x), A @ x, rtol=0, atol=1e-10)
             assert np.allclose(H.rmatvec(z), A.conj().T @ z, rtol=0, atol=1e-10)
 
+    def test_toarray_matches_indexing(self):
+        y = np.arange(801.0) + 1j * np.arange(801.0) ** 2
+        H = hankel(y, 400)
+        assert np.array_equal(H.toarray(), y[np.arange(401)[:, None] + np.arange(401)[None, :]])
+
+    # (M, L) by their distance from the cutoff: at it the matrix is formed.
     @pytest.mark.parametrize("M, L, operator", [
         (2 * DENSE_MAX - 2, DENSE_MAX - 1, False),
         (2 * DENSE_MAX, DENSE_MAX, True),
@@ -245,7 +271,7 @@ class TestLanczosPath:
         (2000, DENSE_MAX, True),
         (2000, 2000 - DENSE_MAX, True),
         (2000, 2001 - DENSE_MAX, False),
-    ])
+    ], ids=["square-at", "square-above", "rows-at", "rows-above", "cols-above", "cols-at"])
     def test_cutoff_edge(self, M, L, operator):
         H = hankel(np.arange(M + 1.0), L)
         assert isinstance(H, HankelOperator) == operator
@@ -253,7 +279,7 @@ class TestLanczosPath:
         assert H.shape == (L + 1, M - L + 1)
 
     def test_preconditions(self):
-        M, L = 1100, 550  # 551 x 551
+        M, L = 800, 400  # 401 x 401
         H = hankel(measurements(1, M, 2, 1e-3, real=False), L)
         with pytest.raises(ValueError):
             svd_split(H, L + 2)
@@ -264,7 +290,64 @@ class TestLanczosPath:
         assert np.array_equal(svd_split(H, L).signal_space, svd_split(H.toarray(), L).signal_space)
 
     def test_sparse_linalg_not_imported_on_load(self):
-        code = "import sys, srmusic.cli; print('scipy.sparse.linalg' in sys.modules)"
+        # scipy.linalg costs about 29 MB of memory; MUSIC must not load it,
+        # at any size.
+        code = (
+            "import sys, numpy as np, srmusic.cli\n"
+            "from srmusic.music import music_estimate\n"
+            "def loaded(): return [m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')]\n"
+            "on_import = loaded()\n"
+            "M = 1000\n"
+            "y = np.exp(-2j * np.pi * np.outer(np.arange(M + 1), [0.2, 0.2005, 0.7])).sum(axis=1)\n"
+            "music_estimate(y + 0.01 * np.random.default_rng(0).normal(size=M + 1), S=3)\n"
+            "print(on_import, loaded())\n"
+        )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
-        assert out.strip() == "False"
+        assert out.strip() == "[False, False] [False, False]"
+
+
+class TestSubspaceIteration:
+    """svd_split of a HankelOperator: when it iterates and when it goes dense."""
+
+    @pytest.mark.parametrize("M, L", OPERATOR_SHAPES)
+    @pytest.mark.parametrize("real", [False, True])
+    def test_iterates_on_signal_plus_noise(self, M, L, real):
+        H = hankel(measurements(5, M, 4, 1e-3, real), L)
+        assert assert_split_matches_dense(H, 4)
+
+    def test_iteration_cap_falls_back(self, monkeypatch):
+        H = hankel(measurements(6, 800, 2, 1e-3, real=False), 400)
+        assert assert_split_matches_dense(H, 2)
+        monkeypatch.setattr(fourier, "MAX_ITERATIONS", 1)
+        assert not assert_split_matches_dense(H, 2)
+
+    def test_near_degenerate_gap_falls_back(self):
+        # Three far-apart unit sources: sigma_2 and sigma_3 nearly coincide,
+        # and both stand far above the rest.
+        y = vandermonde(SupportSet([0.1, 0.43, 0.77]), 800) @ np.ones(3)
+        H = hankel(y, 400)
+        s = svd_split(H.toarray(), 3).singular_values
+        assert s[1] <= 2.0 * s[2] and s[2] > 1e6 * s[3]
+        assert not assert_split_matches_dense(H, 2)
+        assert assert_split_matches_dense(H, 3)
+
+    def test_rank_deficient_falls_back(self):
+        M = 800
+        y = vandermonde(SupportSet([0.2, 0.7]), M) @ np.array([1.0, 1.0j])
+        assert not assert_split_matches_dense(hankel(y, M // 2), 3)
+        assert not assert_split_matches_dense(hankel(np.zeros(M + 1), M // 2), 1)
+        # sigma_2 / sigma_3 is about 9e3, but sigma_2 = 1e-10 sigma_1 < sqrt(eps) sigma_1.
+        faint = vandermonde(SupportSet([0.2, 0.7]), M) @ np.array([1.0, 1e-10])
+        assert not assert_split_matches_dense(hankel(faint, M // 2), 2)
+        with pytest.raises(RankDeficientError, match="above the numerical rank of the 401x401"):
+            music_estimate(y, S=3)
+
+    def test_block_size_limit(self):
+        # Well-separated unit sources keep a wide gap at any S; the block of
+        # S + OVERSAMPLING vectors may fill at most a quarter of the 401 columns.
+        M, L = 800, 400
+        largest = (L + 1) // 4 - fourier.OVERSAMPLING
+        for S, iterates in ((largest, True), (largest + 1, False)):
+            y = vandermonde(SupportSet(np.arange(S) / S + 0.3 / S), M) @ np.ones(S)
+            assert assert_split_matches_dense(hankel(y, L), S) == iterates

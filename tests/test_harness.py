@@ -1,9 +1,11 @@
+import csv
 import json
 import re
 
 import numpy as np
 import pytest
 
+from srmusic import fourier
 from srmusic.harness import (
     AmplitudeModel,
     ExperimentConfig,
@@ -405,6 +407,32 @@ class TestCampaignTable:
         p1 = save_records(run_experiment(config, jobs=1), config, tmp_path / "j1")
         p2 = save_records(run_experiment(config, jobs=2), config, tmp_path / "j2")
         assert p1["csv"].read_text().splitlines()[0] == CSV_HEADERS[kind]
+        assert p1["csv"].read_bytes() == p2["csv"].read_bytes()
+        assert p1["summary"].read_bytes() == p2["summary"].read_bytes()
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("perturbation-check", dict(sigmas=(0.01, 0.1))),
+        ("phase-transition", dict(alphas=(0.5,), sigmas=(0.0, 0.05))),
+    ])
+    def test_jobs_independence_above_cutoff(self, kind, fields, tmp_path, monkeypatch):
+        # At M = 800 each Hankel matrix is 401 x 401, above DENSE_MAX, so the
+        # splits come from subspace iteration, here in two threads at once.
+        iterated = []
+
+        def spy(H, S):
+            split = subspace_iteration(H, S)
+            iterated.append(split is not None)
+            return split
+
+        subspace_iteration = fourier._subspace_iteration
+        monkeypatch.setattr(fourier, "_subspace_iteration", spy)
+        config = ExperimentConfig(kind=kind, base_seed=3, clump_spec=pair_spec(M=800),
+                                  trials_per_cell=2, **fields)
+        p1 = save_records(run_experiment(config, jobs=1), config, tmp_path / "j1")
+        p2 = save_records(run_experiment(config, jobs=2), config, tmp_path / "j2")
+        assert iterated and all(iterated)
+        with open(p1["csv"], newline="") as fh:
+            assert [row["error"] for row in csv.DictReader(fh)] == [""] * 4
         assert p1["csv"].read_bytes() == p2["csv"].read_bytes()
         assert p1["summary"].read_bytes() == p2["summary"].read_bytes()
 
