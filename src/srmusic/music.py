@@ -10,12 +10,16 @@ Wedin-type bound.
 
 R is evaluated from the signal space U_S alone; no noise basis W is
 formed. [U_S | W] is unitary, so R(omega)^2 = 1 - ||U_S* phi_L(omega)||^2
-/ (L+1) (the MUSIC pseudo-spectrum identity): one zero-padded FFT of the S
+/ (L+1) (the MUSIC pseudo-spectrum identity). One zero-padded FFT of the S
 signal columns gives R at every grid node, for the imaging scan and for
-the sup-norm comparison. That difference cancels where R is near zero, so
-the hills, the refinement and the reported peak values use the residual
-||phi_L - U_S U_S* phi_L|| / sqrt(L+1) (noise_correlation), which is as
-accurate as ||W* phi_L|| / sqrt(L+1).
+the sup-norm comparison; one Bluestein chirp-z transform of the same
+columns gives R at the fine samples of every resampled hill. That
+difference cancels where R is near zero, so hill samples and compared
+grid nodes where this FFT form is below FFT_R_FLOOR, the refinement and
+the reported peak values use the residual ||phi_L - U_S U_S* phi_L|| /
+sqrt(L+1) (noise_correlation), which is as accurate as ||W* phi_L|| /
+sqrt(L+1). The imaging grid itself keeps the FFT form, which still orders
+its maxima.
 """
 
 from __future__ import annotations
@@ -24,9 +28,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -47,8 +49,9 @@ HILL_OVERSAMPLING = 16
 # A candidate peak must rise above both edges of its hill by more than this
 # relative amount; smaller bumps are rounding noise on a flat J.
 PEAK_RTOL = 1e-12
-# The FFT form of R errs by about 1e-15/R, so below this value a grid R is
-# recomputed with the residual form before two curves are compared.
+# The FFT form of R errs by about 1e-15/R, so below this value a grid or
+# hill sample of R is recomputed with the residual form before it is
+# compared with another.
 FFT_R_FLOOR = 1e-3
 
 
@@ -211,8 +214,10 @@ def music_estimate(
     UnderdeterminedPeaksError when fewer than S candidates are found.
 
     Only the signal space is used: the grid R comes from one FFT of its S
-    columns, and the hills, refinement and peak values from
-    noise_correlation.
+    columns, and the hill samples from one chirp-z transform of them,
+    recomputed with noise_correlation below FFT_R_FLOOR. The S brackets
+    are refined together, and the peak values come from one
+    noise_correlation call at the returned positions.
     """
     y = np.asarray(y, dtype=complex)
     M = len(y) - 1
@@ -236,26 +241,59 @@ def music_estimate(
             f"matrix: sigma_S = {s[S - 1]:.3g} <= {rank_tol:.3g}"
         )
     U = split.signal_space
-    correlation = partial(noise_correlation, U)
     values_r = _grid_correlation(U, N)
     with np.errstate(divide="ignore"):
         values_j = 1.0 / values_r
     grid = ImagingGrid(resolution=N, values_R=values_r, values_J=values_j)
 
+    candidates = _hill_candidates(U, values_j, S)
+    if len(candidates) < S:
+        raise UnderdeterminedPeaksError(found=len(candidates), wanted=S)
+    candidates.sort(key=lambda c: (-c[0], c[1] % 1.0))
+    # Columns J, position, bracket lo, bracket hi.
+    chosen = np.array(candidates[:S])
+    w = _refine_peaks(U, chosen[:, 2], chosen[:, 3]) if refine else chosen[:, 1]
+    positions = w % 1.0
+    with np.errstate(divide="ignore"):
+        peak_values = 1.0 / noise_correlation(U, positions)
+
+    order = np.argsort(positions)
+    return MusicEstimate(
+        recovered=SupportSet(positions[order].tolist()),
+        peak_values=tuple(peak_values[order].tolist()),
+        grid=grid,
+        refined=refine,
+    )
+
+
+def _hill_candidates(U: np.ndarray, values_j: np.ndarray, S: int) -> list[tuple]:
+    """Fine local maxima of J on the hills of its S largest grid maxima.
+
+    Each hill, between the grid minima on either side of a maximum run, is
+    sampled at lo/N + k/(HILL_OVERSAMPLING*N) by _zoom_correlation. Returns
+    (J, position, bracket lo, bracket hi) per candidate, positions unwrapped.
+    """
+    N = len(values_j)
     peaks = []
     for start, length in _circular_local_maxima(values_j):
         mid = (start + (length - 1) // 2) % N
         peaks.append((-values_j[mid], mid, start, length))
     # Largest grid maxima first; ties broken toward smaller omega.
     peaks.sort()
+    hills = [_hill(values_j, start, length) for _, _, start, length in peaks[:S]]
+    fines = [
+        (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
+        for lo, hi in hills
+    ]
+    if not fines:
+        return []
+    r = _zoom_correlation(U, N, hills)
+    r = _residual_below_floor(U, r, np.concatenate(fines) % 1.0)
 
-    # (J, position, bracket lo, bracket hi), positions unwrapped.
     candidates = []
-    for _, _, start, length in peaks[:S]:
-        lo, hi = _hill(values_j, start, length)
-        fine = (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
+    for fine, fine_r in zip(fines, np.split(r, np.cumsum([len(f) for f in fines[:-1]]))):
         with np.errstate(divide="ignore"):
-            fine_j = 1.0 / correlation(fine % 1.0)
+            fine_j = 1.0 / fine_r
         last = len(fine) - 1
         threshold = (1.0 + PEAK_RTOL) * max(fine_j[0], fine_j[last])
         for a, k in _circular_local_maxima(fine_j):
@@ -263,27 +301,7 @@ def music_estimate(
             # Runs touching a hill edge belong to the neighboring hill.
             if a > 0 and a + k <= last and fine_j[m] > threshold:
                 candidates.append((fine_j[m], fine[m], fine[a - 1], fine[a + k]))
-    if len(candidates) < S:
-        raise UnderdeterminedPeaksError(found=len(candidates), wanted=S)
-    candidates.sort(key=lambda c: (-c[0], c[1] % 1.0))
-
-    positions = []
-    peak_values = []
-    for val, w, lo, hi in candidates[:S]:
-        if refine:
-            w = _refine_peak(correlation, lo, hi)
-            r = correlation(w % 1.0)
-            val = math.inf if r == 0.0 else 1.0 / r
-        positions.append(w % 1.0)
-        peak_values.append(float(val))
-
-    order = np.argsort(positions)
-    return MusicEstimate(
-        recovered=SupportSet([positions[i] for i in order]),
-        peak_values=tuple(peak_values[i] for i in order),
-        grid=grid,
-        refined=refine,
-    )
+    return candidates
 
 
 def _hill(values: np.ndarray, start: int, length: int) -> tuple[int, int]:
@@ -298,26 +316,75 @@ def _hill(values: np.ndarray, start: int, length: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _refine_peak(correlation: Callable[[float], float], lo: float, hi: float) -> float:
-    """Golden-section maximization of J (= minimization of R) on [lo, hi].
+def _zoom_correlation(U: np.ndarray, N: int, hills: list[tuple[int, int]]) -> np.ndarray:
+    """FFT-form R at the fine samples of every hill, concatenated hill by hill.
 
-    correlation maps a position in [0, 1) to R. Works in unwrapped
-    coordinates, so a bracket may straddle the 0/1 cut.
+    Hill (lo, hi) is sampled at m/P, m = lo*H + k, 0 <= k <= H*(hi - lo),
+    with H = HILL_OVERSAMPLING and P = H*N. A Bluestein chirp-z transform
+    gives U_S* phi_L(m/P) = sum_l conj(U_l) exp(-2 pi i l m/P) for all of
+    them from three FFTs: with lk = (l^2 + k^2 - (k-l)^2)/2 it is the
+    convolution of conj(U_l) c(l^2 + 2 l lo H) with c(-j^2), times the
+    unit-modulus c(k^2), where c(q) = exp(-pi i q/P). The kernel depends
+    only on P and on the longest hill, so one kernel serves all hills. Each
+    q is an integer reduced mod 2P before it becomes a phase, so every
+    chirp carries a single rounding however large l and m grow.
+    """
+    rows = U.shape[0]
+    P = HILL_OVERSAMPLING * N
+    counts = [HILL_OVERSAMPLING * (hi - lo) + 1 for lo, hi in hills]
+    nfft = 1 << (rows + max(counts) - 2).bit_length()
+
+    def chirp(q):
+        return np.exp(-1j * np.pi * ((q % (2 * P)) / P))
+
+    j = np.arange(-(rows - 1), max(counts))
+    kernel = np.zeros(nfft, dtype=complex)
+    kernel[j % nfft] = chirp(-j * j)
+    l = np.arange(rows)
+    m0 = np.array([lo * HILL_OVERSAMPLING for lo, _ in hills])
+    # Shape (hill, S, l): each signal column chirped for each hill.
+    a = U.conj().T[None, :, :] * chirp(l * (l + 2 * m0[:, None]))[:, None, :]
+    conv = np.fft.ifft(np.fft.fft(a, n=nfft, axis=-1) * np.fft.fft(kernel), axis=-1)
+    energy = np.concatenate([
+        np.sum(c[:, :k].real**2 + c[:, :k].imag**2, axis=0) for c, k in zip(conv, counts)
+    ]) / rows
+    return np.sqrt(np.clip(1.0 - energy, 0.0, 1.0))
+
+
+def _residual_below_floor(U: np.ndarray, r: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """Recompute with noise_correlation the entries of an FFT-form R below FFT_R_FLOOR.
+
+    omega holds the position of each entry of r, which is changed in place
+    and returned. No call is made when no entry is below the floor.
+    """
+    low = np.flatnonzero(r < FFT_R_FLOOR)
+    if len(low):
+        r[low] = noise_correlation(U, omega[low])
+    return r
+
+
+def _refine_peaks(U: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section maximization of J (= minimization of R) on each [lo, hi].
+
+    The brackets move in lockstep: every step evaluates the one new
+    interior point of each bracket in a single noise_correlation call.
+    Works in unwrapped coordinates, so a bracket may straddle the 0/1 cut.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc = correlation(c % 1.0)
-    fd = correlation(d % 1.0)
+    fc, fd = np.split(noise_correlation(U, np.concatenate([c, d]) % 1.0), 2)
     for _ in range(REFINE_ITERS):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = correlation(c % 1.0)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = correlation(d % 1.0)
+        # Where fc < fd the minimum lies in [a, d]: d becomes b, c becomes d
+        # and the new point c. Elsewhere it lies in [c, b]: c becomes a, d
+        # becomes c and the new point d.
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        span = _INV_PHI * (b - a)
+        new = np.where(left, b - span, a + span)
+        f_new = noise_correlation(U, new % 1.0)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     return (a + b) / 2.0
 
 
@@ -336,12 +403,10 @@ def correlation_sup_diff(
             f"signal spaces live in different dimensions: "
             f"{U_clean.shape[0]} vs {U_noisy.shape[0]}"
         )
-    curves = []
-    for U in (U_clean, U_noisy):
-        r = _grid_correlation(U, N)
-        low = np.flatnonzero(r < FFT_R_FLOOR)
-        r[low] = noise_correlation(U, low / N)
-        curves.append(r)
+    nodes = np.arange(N) / N
+    curves = [
+        _residual_below_floor(U, _grid_correlation(U, N), nodes) for U in (U_clean, U_noisy)
+    ]
     return float(np.max(np.abs(curves[1] - curves[0])))
 
 

@@ -8,15 +8,19 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from srmusic.fourier import hankel, spectral_norm, svd_split, vandermonde
+from srmusic import music as music_module
 from srmusic.music import (
+    FFT_R_FLOOR,
     HILL_OVERSAMPLING,
     PEAK_RTOL,
+    REFINE_ITERS,
     ImagingGrid,
     RankDeficientError,
     UnderdeterminedPeaksError,
     _circular_local_maxima,
     _hill,
-    _refine_peak,
+    _hill_candidates,
+    _zoom_correlation,
     correlation_sup_diff,
     load_measurements,
     match_supports,
@@ -82,6 +86,57 @@ def circular_local_maxima_loop(values):
     return maxima
 
 
+def refine_peak_loop(correlation, lo, hi):
+    """Reference for _refine_peaks: golden section on one bracket, one point per call."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = correlation(c % 1.0)
+    fd = correlation(d % 1.0)
+    for _ in range(REFINE_ITERS):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = correlation(c % 1.0)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = correlation(d % 1.0)
+    return (a + b) / 2.0
+
+
+def largest_hills(j, S):
+    """Brackets (lo, hi) of the hills of the S largest grid maxima of j, largest first."""
+    N = len(j)
+    peaks = sorted(
+        (-j[(a + (k - 1) // 2) % N], (a + (k - 1) // 2) % N, a, k)
+        for a, k in circular_local_maxima_loop(j)
+    )
+    return [_hill(j, start, length) for _, _, start, length in peaks[:S]]
+
+
+def hill_scan_loop(correlation, j, S):
+    """Reference for _hill_candidates: each hill's fine samples evaluated by correlation.
+
+    Returns (J, position, bracket lo, bracket hi) per candidate, positions
+    unwrapped, in the order music_estimate's hill scan finds them.
+    """
+    N = len(j)
+    candidates = []
+    for lo, hi in largest_hills(j, S):
+        fine = (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
+        with np.errstate(divide="ignore"):
+            fine_j = 1.0 / correlation(fine % 1.0)
+        last = len(fine) - 1
+        threshold = (1.0 + PEAK_RTOL) * max(fine_j[0], fine_j[last])
+        for a, k in circular_local_maxima_loop(fine_j):
+            m = a + (k - 1) // 2
+            if a > 0 and a + k <= last and fine_j[m] > threshold:
+                candidates.append((fine_j[m], fine[m], fine[a - 1], fine[a + k]))
+    return candidates
+
+
 def dense_reference_estimate(y, S, L, N):
     """Refined MUSIC positions with R from the noise space W at every step.
 
@@ -94,24 +149,9 @@ def dense_reference_estimate(y, S, L, N):
         r = dense_noise_correlation(U, omega)
         return float(r[0]) if np.isscalar(omega) else r
 
-    j = 1.0 / correlation(np.arange(N) / N)
-    peaks = sorted(
-        (-j[(a + (k - 1) // 2) % N], (a + (k - 1) // 2) % N, a, k)
-        for a, k in circular_local_maxima_loop(j)
-    )
-    candidates = []
-    for _, _, start, length in peaks[:S]:
-        lo, hi = _hill(j, start, length)
-        fine = (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
-        fine_j = 1.0 / correlation(fine % 1.0)
-        last = len(fine) - 1
-        threshold = (1.0 + PEAK_RTOL) * max(fine_j[0], fine_j[last])
-        for a, k in circular_local_maxima_loop(fine_j):
-            m = a + (k - 1) // 2
-            if a > 0 and a + k <= last and fine_j[m] > threshold:
-                candidates.append((-fine_j[m], fine[m] % 1.0, fine[a - 1], fine[a + k]))
-    candidates.sort()
-    return [_refine_peak(correlation, lo, hi) % 1.0 for _, _, lo, hi in candidates[:S]]
+    candidates = hill_scan_loop(correlation, 1.0 / correlation(np.arange(N) / N), S)
+    candidates.sort(key=lambda c: (-c[0], c[1] % 1.0))
+    return [refine_peak_loop(correlation, lo, hi) % 1.0 for _, _, lo, hi in candidates[:S]]
 
 
 def noisy_measurements(points, M, sigma, seed):
@@ -129,6 +169,12 @@ FAST_PATH_CASES = [
     ((-0.3, 0.4, 40.0), 100, 49, 1000),
     ((10.0, 10.5, 61.0, 130.0), 160, 81, 1291),
     ((-0.25, 0.08, 95.0), 200, 100, 1600),
+]
+
+
+# The FAST_PATH_CASES and a music-large-m layout: 4 clumps of 2 at M = 1000.
+ZOOM_CASES = FAST_PATH_CASES + [
+    ((10.0, 11.4, 260.0, 261.3, 500.0, 501.6, 760.0, 761.5), 1000, 500, 16000),
 ]
 
 
@@ -180,13 +226,18 @@ class TestImagingFunction:
         ortho = np.array([1.0, -1.0, 1.0, -1.0], dtype=complex) / 2.0
         U = (math.sqrt(3.0) / 2.0 * phi_hat + 0.5 * ortho).reshape(-1, 1)
         assert noise_correlation(U, 0.0) == pytest.approx(0.5)
-        # music_estimate reports J = 1/R on its grid and at its peaks.
-        y = noisy_measurements([0.2, 0.7], 20, 0.05, seed=3)
-        est = music_estimate(y, S=2, L=10, refine=True)
-        assert np.array_equal(est.grid.values_J, 1.0 / est.grid.values_R)
-        U = signal_space(y, 2, 10)
-        for w, j in zip(est.recovered.points, est.peak_values):
-            assert j == pytest.approx(1.0 / noise_correlation(U, w))
+        # music_estimate reports J = 1/R on its grid and, in the residual
+        # form, at its peaks, refined or not. At sigma = 0.01, R at the fine
+        # peaks is about 2e-3, just above FFT_R_FLOOR, where the FFT form of
+        # R errs by about 5e-11 relative.
+        for sigma in (0.05, 0.01):
+            y = noisy_measurements([0.2, 0.7], 20, sigma, seed=3)
+            U = signal_space(y, 2, 10)
+            for refine in (True, False):
+                est = music_estimate(y, S=2, L=10, refine=refine)
+                assert np.array_equal(est.grid.values_J, 1.0 / est.grid.values_R)
+                for w, j in zip(est.recovered.points, est.peak_values):
+                    assert j == pytest.approx(1.0 / noise_correlation(U, w), rel=1e-12)
 
     def test_infinite_on_support_noiseless(self):
         rng = np.random.default_rng(3)
@@ -259,6 +310,65 @@ class TestSignalSpaceFastPaths:
         est = music_estimate(y, S=len(points), L=L, N=N, refine=True)
         ref = SupportSet(dense_reference_estimate(y, len(points), L, N))
         assert match_supports(ref, est.recovered) <= 1e-8
+
+
+    @pytest.mark.parametrize("points, M, L, N", ZOOM_CASES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_zoom_scan_matches_residual_scan(self, points, M, L, N, sigma):
+        y = noisy_measurements([(p / M) % 1.0 for p in points], M, sigma, seed=M + L)
+        S = len(points)
+        U = signal_space(y, S, L)
+        j = music_estimate(y, S=S, L=L, N=N).grid.values_J
+        hills = largest_hills(j, S)
+        fine = np.concatenate([
+            (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
+            for lo, hi in hills
+        ])
+        zoom = _zoom_correlation(U, N, hills)
+        residual = noise_correlation(U, fine % 1.0)
+        above = residual >= FFT_R_FLOOR
+        assert np.max(np.abs(zoom - residual)[above]) <= 1e-12
+        # Same fine sample and bracket for every candidate, in the same order.
+        fast = _hill_candidates(U, j, S)
+        ref = hill_scan_loop(lambda omega: noise_correlation(U, omega), j, S)
+        assert [c[1:] for c in fast] == [c[1:] for c in ref]
+        r_fast = 1.0 / np.array([c[0] for c in fast])
+        r_ref = 1.0 / np.array([c[0] for c in ref])
+        assert np.max(np.abs(r_fast - r_ref)) <= 1e-12
+
+
+class TestNoiseCorrelationCalls:
+    """noise_correlation is called per stage, not per peak or per sample."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+
+        def counting(U, omega):
+            calls.append(np.size(omega))
+            return noise_correlation(U, omega)
+
+        monkeypatch.setattr(music_module, "noise_correlation", counting)
+        return calls
+
+    # S = 2 at the criterion-9 layout and S = 8 at M = 1000. Noiseless, so
+    # every hill has samples below FFT_R_FLOOR.
+    @pytest.mark.parametrize("points, M", [((50.0, 51.5), 200), (ZOOM_CASES[-1][0], 1000)])
+    def test_count_does_not_grow_with_s(self, monkeypatch, points, M):
+        y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.0, seed=M)
+        calls = self.count_calls(monkeypatch)
+        est = music_estimate(y, S=len(points), N=8 * M, refine=True)
+        assert est.recovered.size == len(points)
+        assert len(calls) <= REFINE_ITERS + 4
+        assert 0 not in calls
+
+    def test_no_call_when_nothing_below_floor(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        U, _ = np.linalg.qr(rng.normal(size=(11, 5)) + 1j * rng.normal(size=(11, 5)))
+        V, _ = np.linalg.qr(rng.normal(size=(11, 5)) + 1j * rng.normal(size=(11, 5)))
+        calls = self.count_calls(monkeypatch)
+        assert correlation_sup_diff(U, V, 128) > 0.0
+        assert calls == []
 
 
 class TestMusicEstimate:
