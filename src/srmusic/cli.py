@@ -311,7 +311,7 @@ def build_parser() -> _Parser:
     p.add_argument("--L", type=int, help="Hankel split (default floor(M/2))")
     p.add_argument("--grid", type=int, help="imaging grid resolution (default 16*M)")
     p.add_argument("--sigma", type=float, help="noise level override when synthesizing")
-    p.add_argument("--refine", action="store_true", help="golden-section peak polish")
+    p.add_argument("--refine", action="store_true", help="Newton peak polish")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/music")
     p.set_defaults(func=_cmd_music)

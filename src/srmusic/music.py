@@ -4,7 +4,7 @@ The estimator Hankelizes the measurements, splits the left singular
 subspace at rank S, scans the imaging function J = 1/R on a uniform grid,
 resamples the hills of its S largest circular local maxima more finely so
 that peaks merged on the grid come apart, and returns the S largest of the
-resulting maxima, optionally polished by golden-section search. A
+resulting maxima, optionally polished by Newton's method. A
 perturbation report compares the observed sup-norm change of R against the
 Wedin-type bound.
 
@@ -15,11 +15,11 @@ signal columns gives R at every grid node, for the imaging scan and for
 the sup-norm comparison; one Bluestein chirp-z transform of the same
 columns gives R at the fine samples of every resampled hill. That
 difference cancels where R is near zero, so hill samples and compared
-grid nodes where this FFT form is below FFT_R_FLOOR, the refinement and
-the reported peak values use the residual ||phi_L - U_S U_S* phi_L|| /
-sqrt(L+1) (noise_correlation), which is as accurate as ||W* phi_L|| /
-sqrt(L+1). The imaging grid itself keeps the FFT form, which still orders
-its maxima.
+grid nodes where this FFT form is below FFT_R_FLOOR, and the peak values,
+use the residual ||phi_L - U_S U_S* phi_L|| / sqrt(L+1) (noise_correlation),
+which is as accurate as ||W* phi_L|| / sqrt(L+1). The imaging grid keeps
+the FFT form, which still orders its maxima; the refinement needs only the
+derivatives of E = ||U_S* phi_L||^2, which do not cancel.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ import numpy as np
 from srmusic.fourier import hankel, svd_split
 from srmusic.torus import SupportSet
 
-# (sqrt(5)-1)/2; 40 golden-section steps shrink a bracket by ~4e-9.
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 REFINE_ITERS = 40
 
 DEFAULT_GRID_FACTOR = 16
@@ -208,16 +206,14 @@ def music_estimate(
     maximum are told apart. Every fine local maximum that rises above its
     hill's edges by more than rounding is a candidate, and the S largest
     candidates are returned: on their fine sample, or with refine polished
-    by golden-section search between their fine neighbors. Raises
+    by Newton's method between their fine neighbors. Raises
     RankDeficientError when sigma_S of the Hankel matrix is at most
     max(L+1, M-L+1)*eps*sigma_1 (numpy's matrix_rank tolerance), and
     UnderdeterminedPeaksError when fewer than S candidates are found.
 
-    Only the signal space is used: the grid R comes from one FFT of its S
-    columns, and the hill samples from one chirp-z transform of them,
-    recomputed with noise_correlation below FFT_R_FLOOR. The S brackets
-    are refined together, and the peak values come from one
-    noise_correlation call at the returned positions.
+    Only the signal space is used (see the module docstring). The S peaks
+    are refined together, and their values come from one noise_correlation
+    call at the returned positions.
     """
     y = np.asarray(y, dtype=complex)
     M = len(y) - 1
@@ -250,10 +246,8 @@ def music_estimate(
     if len(candidates) < S:
         raise UnderdeterminedPeaksError(found=len(candidates), wanted=S)
     candidates.sort(key=lambda c: (-c[0], c[1] % 1.0))
-    # Columns J, position, bracket lo, bracket hi.
-    chosen = np.array(candidates[:S])
-    w = _refine_peaks(U, chosen[:, 2], chosen[:, 3]) if refine else chosen[:, 1]
-    positions = w % 1.0
+    _, start, lo, hi = np.array(candidates[:S]).T
+    positions = (_refine_peaks(U, start, lo, hi) if refine else start) % 1.0
     with np.errstate(divide="ignore"):
         peak_values = 1.0 / noise_correlation(U, positions)
 
@@ -363,29 +357,35 @@ def _residual_below_floor(U: np.ndarray, r: np.ndarray, omega: np.ndarray) -> np
     return r
 
 
-def _refine_peaks(U: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section maximization of J (= minimization of R) on each [lo, hi].
+def _refine_peaks(U: np.ndarray, w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Safeguarded Newton ascent of E = ||U_S* phi_L||^2 from w on each [lo, hi].
 
-    The brackets move in lockstep: every step evaluates the one new
-    interior point of each bracket in a single noise_correlation call.
-    Works in unwrapped coordinates, so a bracket may straddle the 0/1 cut.
+    E = (L+1)(1 - R^2) peaks where J does; all peaks step in lockstep, one
+    _energy_slopes product per step. A bracket shrinks to the side where E
+    rises. The Newton step (infinite where E'' >= 0) is taken if it lands in
+    the closed bracket, else the bracket is bisected. Stops at rounding-size
+    steps. Positions are unwrapped, as a bracket may cross the 0/1 cut.
     """
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = np.split(noise_correlation(U, np.concatenate([c, d]) % 1.0), 2)
     for _ in range(REFINE_ITERS):
-        # Where fc < fd the minimum lies in [a, d]: d becomes b, c becomes d
-        # and the new point c. Elsewhere it lies in [c, b]: c becomes a, d
-        # becomes c and the new point d.
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        span = _INV_PHI * (b - a)
-        new = np.where(left, b - span, a + span)
-        f_new = noise_correlation(U, new % 1.0)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    return (a + b) / 2.0
+        d1, d2 = _energy_slopes(U, w)
+        lo, hi = np.where(d1 > 0, w, lo), np.where(d1 > 0, hi, w)
+        newton = w - np.divide(d1, d2, out=np.full_like(d1, np.inf), where=d2 < 0)
+        w, last = np.where((lo <= newton) & (newton <= hi), newton, (lo + hi) / 2.0), w
+        if np.all(np.abs(w - last) <= 4.0 * np.finfo(float).eps):
+            break
+    return w
+
+
+def _energy_slopes(U: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E' = 4 pi sum Im(conj(g_0) g_1) and E'' = 8 pi^2 (||g_1||^2 - sum Re(conj(g_0) g_2)).
+
+    At each w, with g_k = U_S* (l^k phi_L(w)), all from one product.
+    """
+    l = np.arange(U.shape[0])[:, None]
+    phi = _steering(len(l), w % 1.0)
+    g0, g1, g2 = np.split(U.conj().T @ np.hstack([phi, l * phi, l * l * phi]), 3, axis=1)
+    d1 = 4.0 * np.pi * np.sum((g0.conj() * g1).imag, axis=0)
+    return d1, 8.0 * np.pi**2 * np.sum(g1.real**2 + g1.imag**2 - (g0.conj() * g2).real, axis=0)
 
 
 def correlation_sup_diff(

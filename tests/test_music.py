@@ -18,8 +18,10 @@ from srmusic.music import (
     RankDeficientError,
     UnderdeterminedPeaksError,
     _circular_local_maxima,
+    _energy_slopes,
     _hill,
     _hill_candidates,
+    _refine_peaks,
     _zoom_correlation,
     correlation_sup_diff,
     load_measurements,
@@ -337,6 +339,74 @@ class TestSignalSpaceFastPaths:
         assert np.max(np.abs(r_fast - r_ref)) <= 1e-12
 
 
+class TestRefinePeaks:
+    """Lockstep safeguarded Newton against golden section and its own safeguards."""
+
+    @pytest.mark.parametrize("points, M, L, N", ZOOM_CASES)
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_never_worse_than_golden_section(self, points, M, L, N, sigma):
+        y = noisy_measurements([(p / M) % 1.0 for p in points], M, sigma, seed=M + L)
+        S = len(points)
+        U = signal_space(y, S, L)
+        candidates = _hill_candidates(U, music_estimate(y, S=S, L=L, N=N).grid.values_J, S)
+        candidates.sort(key=lambda c: (-c[0], c[1] % 1.0))
+        _, start, lo, hi = np.array(candidates[:S]).T
+        w = _refine_peaks(U, start, lo, hi)
+        golden = np.array([
+            refine_peak_loop(lambda omega: noise_correlation(U, omega), a, b)
+            for a, b in zip(lo, hi)
+        ])
+        assert np.all((lo <= w) & (w <= hi))
+        assert np.all(noise_correlation(U, w % 1.0) <= noise_correlation(U, golden % 1.0) + 1e-14)
+
+    def test_slopes_match_central_differences(self):
+        rng = np.random.default_rng(6)
+        U, _ = np.linalg.qr(rng.normal(size=(11, 2)) + 1j * rng.normal(size=(11, 2)))
+        w, h = rng.uniform(size=16), 1e-5
+
+        def energy(omega):
+            return len(U) * (1.0 - noise_correlation(U, omega % 1.0) ** 2)
+
+        d1, d2 = _energy_slopes(U, w)
+        assert np.max(np.abs(d1 - (energy(w + h) - energy(w - h)) / (2 * h))) <= 1e-5
+        fd2 = (energy(w + h) - 2 * energy(w) + energy(w - h)) / h**2
+        assert np.max(np.abs(d2 - fd2)) <= 1e-2
+
+    def test_safeguards_keep_bracket_and_progress(self):
+        # A random signal space; the global maximum of E = ||U* phi||^2 lies
+        # between two minima m1 < top < m2 of E (maxima of R).
+        rng = np.random.default_rng(6)
+        U, _ = np.linalg.qr(rng.normal(size=(11, 2)) + 1j * rng.normal(size=(11, 2)))
+        grid = np.arange(4096) / 4096
+        r = noise_correlation(U, grid)
+        k = int(np.argmin(r))
+        m1, m2 = k, k
+        while r[(m1 - 1) % 4096] > r[m1 % 4096]:
+            m1 -= 1
+        while r[(m2 + 1) % 4096] > r[m2 % 4096]:
+            m2 += 1
+        top, m1, m2 = grid[k], m1 / 4096, m2 / 4096
+        # Peak 0 starts at the edge of its bracket, just past the inflection
+        # point of the rising flank of E, where the Newton step leaps past
+        # m2. Peak 1 starts next to m2 where E is convex, so a bare Newton
+        # step would head for the minimum of E at m2.
+        flank = np.linspace(m1, top, 512)
+        d1, d2 = _energy_slopes(U, flank % 1.0)
+        edge = flank[(d2 < 0) & (flank - d1 / d2 > m2)][0]
+        lo = np.array([edge, m1])
+        hi = np.array([m2, m2])
+        start = np.array([edge, m2 - 0.02 * (m2 - top)])
+        d1, d2 = _energy_slopes(U, start % 1.0)
+        assert d1[0] > 0 and d2[1] >= 0
+        w = _refine_peaks(U, start, lo, hi)
+        assert np.all((lo <= w) & (w <= hi))
+        r_w = noise_correlation(U, w % 1.0)
+        assert np.all(r_w <= noise_correlation(U, start % 1.0))
+        # Each peak reaches the maximum of E on its bracket.
+        for a, b, v in zip(lo, hi, r_w):
+            assert v <= noise_correlation(U, np.linspace(a, b, 2001) % 1.0).min() + 1e-12
+
+
 class TestNoiseCorrelationCalls:
     """noise_correlation is called per stage, not per peak or per sample."""
 
@@ -352,15 +422,27 @@ class TestNoiseCorrelationCalls:
         return calls
 
     # S = 2 at the criterion-9 layout and S = 8 at M = 1000. Noiseless, so
-    # every hill has samples below FFT_R_FLOOR.
+    # every hill has samples below FFT_R_FLOOR. The two calls are that
+    # floor recompute and the peak values; refinement makes none, and its
+    # Newton steps take all S peaks per product.
     @pytest.mark.parametrize("points, M", [((50.0, 51.5), 200), (ZOOM_CASES[-1][0], 1000)])
     def test_count_does_not_grow_with_s(self, monkeypatch, points, M):
         y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.0, seed=M)
         calls = self.count_calls(monkeypatch)
-        est = music_estimate(y, S=len(points), N=8 * M, refine=True)
-        assert est.recovered.size == len(points)
-        assert len(calls) <= REFINE_ITERS + 4
+        steps = []
+
+        def counting_slopes(U, w):
+            steps.append(len(w))
+            return _energy_slopes(U, w)
+
+        monkeypatch.setattr(music_module, "_energy_slopes", counting_slopes)
+        S = len(points)
+        est = music_estimate(y, S=S, N=8 * M, refine=True)
+        assert est.recovered.size == S
+        assert len(calls) <= 2
         assert 0 not in calls
+        assert 1 <= len(steps) <= 5
+        assert steps == [S] * len(steps)
 
     def test_no_call_when_nothing_below_floor(self, monkeypatch):
         rng = np.random.default_rng(5)
