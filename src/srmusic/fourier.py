@@ -3,14 +3,13 @@
 Singular values and vectors come from dense SVDs (thin where singular
 vectors are needed), except for a Hankel matrix whose shorter side exceeds
 DENSE_MAX. hankel does not form that one: it returns a HankelOperator that
-applies it by FFT. spectral_norm then takes its largest singular value from
-ARPACK's Lanczos iteration (scipy svds), and svd_split its top-S left
-singular subspace from block subspace iteration with a Rayleigh-Ritz step
-(Halko, Martinsson & Tropp, SIAM Review 2011). Each falls back to the dense
-SVD of the formed matrix when the iteration does not settle the answer.
-
-Only spectral_norm on an operator imports scipy, so MUSIC runs at every
-size without loading it.
+applies it by FFT, in real arithmetic where the data and the vector are
+real. spectral_norm then takes its largest singular value from Golub-Kahan
+bidiagonalization (Golub & Kahan, SIAM J. Numer. Anal. 1965), and svd_split
+its top-S left singular subspace from block subspace iteration with a
+Rayleigh-Ritz step (Halko, Martinsson & Tropp, SIAM Review 2011). Each falls
+back to the dense SVD of the formed matrix when the iteration does not
+settle the answer. Everything here is numpy alone.
 """
 
 from __future__ import annotations
@@ -32,6 +31,13 @@ DENSE_MAX = 384
 OVERSAMPLING = 8
 MAX_ITERATIONS = 40
 RESIDUAL_TOL = 64.0
+
+# Golub-Kahan bidiagonalization in spectral_norm: every LANCZOS_CHECK_EVERY
+# steps the top Ritz pair is accepted when its residual is at most
+# LANCZOS_TOL * theta_1; past LANCZOS_MAX_STEPS the matrix is formed.
+LANCZOS_TOL = 1e-10
+LANCZOS_CHECK_EVERY = 4
+LANCZOS_MAX_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -56,30 +62,41 @@ class HankelOperator:
     conj(y). Each is one product with a precomputed FFT of y or conj(y) at
     a power-of-two length n > M, so no index wraps around. Both take a
     vector or an (n, b) block, whose columns go through one batched FFT.
-    svds accepts the operator through its shape, dtype, matvec and rmatvec.
+    When y has no nonzero imaginary part, dtype is float and a real vector
+    goes through rfft and irfft instead, in real arithmetic; a complex
+    vector takes the complex FFTs either way.
     """
 
     def __init__(self, y: np.ndarray, L: int):
         self._y = np.array(y)
         M = len(self._y) - 1
         self.shape = (L + 1, M - L + 1)
-        self.dtype = np.dtype(complex)
         self._n = 1 << M.bit_length()
         self._fft_y = np.fft.fft(self._y, self._n)
         self._fft_conj_y = np.fft.fft(self._y.conj(), self._n)
+        real = not np.iscomplexobj(self._y) or not self._y.imag.any()
+        self.dtype = np.dtype(float if real else complex)
+        self._rfft_y = np.fft.rfft(self._y.real, self._n) if real else None
 
-    def _correlate(self, fft_kernel: np.ndarray, x, length: int) -> np.ndarray:
-        # FFT of sum_j k[i+j] x[j] is FFT(k) times the unscaled inverse FFT of x.
+    def _correlate(self, x, length: int, adjoint: bool) -> np.ndarray:
         x = np.asarray(x)
+        shape = (-1,) + (1,) * (x.ndim - 1)
+        if self._rfft_y is not None and not np.iscomplexobj(x):
+            # Real y and x: the FFT of sum_j y[i+j] x[j] is FFT(y) conj(FFT(x)).
+            x_hat = np.fft.rfft(x, self._n, axis=0)
+            np.conjugate(x_hat, out=x_hat)
+            x_hat *= self._rfft_y.reshape(shape)
+            return np.fft.irfft(x_hat, self._n, axis=0)[:length]
+        # FFT of sum_j k[i+j] x[j] is FFT(k) times the unscaled inverse FFT of x.
+        kernel = self._fft_conj_y if adjoint else self._fft_y
         x_hat = np.fft.ifft(x, self._n, axis=0, norm="forward")
-        kernel = fft_kernel.reshape((-1,) + (1,) * (x.ndim - 1))
-        return np.fft.ifft(kernel * x_hat, axis=0)[:length]
+        return np.fft.ifft(kernel.reshape(shape) * x_hat, axis=0)[:length]
 
     def matvec(self, x) -> np.ndarray:
-        return self._correlate(self._fft_y, x, self.shape[0])
+        return self._correlate(x, self.shape[0], adjoint=False)
 
     def rmatvec(self, z) -> np.ndarray:
-        return self._correlate(self._fft_conj_y, z, self.shape[1])
+        return self._correlate(z, self.shape[1], adjoint=True)
 
     def toarray(self) -> np.ndarray:
         return _hankel_array(self._y, self.shape[0] - 1)
@@ -174,17 +191,79 @@ def _subspace_iteration(H: HankelOperator, S: int) -> HankelSvd | None:
 
 
 def _lanczos_norm(H: HankelOperator) -> float | None:
-    """Largest singular value of H by Lanczos; None when ARPACK does not converge."""
-    # Imported here: scipy.sparse.linalg loads scipy.linalg too, about 30 MB
-    # of memory that no other code path needs.
-    from scipy.sparse.linalg import ArpackNoConvergence, svds
+    """Largest singular value of H by Golub-Kahan bidiagonalization; None past the step cap.
 
-    try:
-        s = svds(H, k=1, v0=np.ones(min(H.shape), dtype=complex), tol=0,
-                 return_singular_vectors=False)
-    except ArpackNoConvergence:
+    Runs on the shorter side, in H.dtype, with full reorthogonalization.
+    After k steps U_k* H V_k is the upper bidiagonal B_k, and
+    the top singular pair (theta, p, q) of B_k leaves the residual
+    beta_k |p[k]| in H* (U_k p) - theta V_k q. A zero alpha or beta (to
+    rounding) means the Krylov spaces are invariant, and hold the top
+    singular pair unless the start vector is orthogonal to it. So the start
+    is a fixed pseudo-random vector: the all-ones vector is a singular
+    vector of some structured H (e.g. y periodic with period L+1), and from
+    it the iteration would stop at once with that vector's singular value.
+    """
+    if not np.isfinite(H._y).all():
+        raise np.linalg.LinAlgError(f"SVD failed on a {H.shape} matrix: non-finite entries")
+    rows, cols = H.shape
+    apply, adjoint = (H.matvec, H.rmatvec) if cols <= rows else (H.rmatvec, H.matvec)
+    n = min(rows, cols)
+    eps = np.finfo(float).eps
+    # Room for 32 steps; the bases double as they fill, so they hold about
+    # the steps taken.
+    V = np.empty((32, n), H.dtype)
+    U = np.empty((32, max(rows, cols)), H.dtype)
+    alphas, betas = [], []
+    scale = 0.0
+    # A fresh generator per call: the same start on every call and in every thread.
+    v = np.random.default_rng(0).standard_normal(n).astype(H.dtype)
+    v /= np.linalg.norm(v)
+    for k in range(min(LANCZOS_MAX_STEPS, n)):
+        if k == len(V):
+            V, U = (np.concatenate([A, np.empty_like(A)]) for A in (V, U))
+        V[k] = v
+        u = apply(v)
+        if k:
+            u -= betas[-1] * U[k - 1]
+        alpha = _orthogonalize(u, U[:k])
+        scale = max(scale, alpha)
+        if alpha <= eps * scale:
+            break
+        alphas.append(alpha)
+        U[k] = u / alpha
+        v = adjoint(U[k]) - alpha * v
+        beta = _orthogonalize(v, V[: k + 1])
+        scale = max(scale, beta)
+        if beta <= eps * scale:
+            break
+        if (k + 1) % LANCZOS_CHECK_EVERY == 0:
+            p, theta, _ = np.linalg.svd(_bidiagonal(alphas, betas))
+            if beta * abs(p[-1, 0]) <= LANCZOS_TOL * theta[0]:
+                return float(theta[0])
+        betas.append(beta)
+        v /= beta
+    else:
         return None
-    return float(s[0])
+    # Breakdown: H maps the Krylov spaces into each other, and the bidiagonal
+    # so far is H on them.
+    return float(np.linalg.svd(_bidiagonal(alphas, betas), compute_uv=False)[0]) if alphas else 0.0
+
+
+def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> float:
+    """Remove from w its components along the orthonormal rows of Q; return ||w||."""
+    # Classical Gram-Schmidt, twice: the second pass removes what rounding
+    # left of the first.
+    for _ in range(2):
+        w -= (Q @ w.conj()).conj() @ Q
+    return float(np.linalg.norm(w))
+
+
+def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
+    """len(alphas) x (len(betas) + 1) matrix: alphas on the diagonal, betas above it."""
+    B = np.zeros((len(alphas), len(betas) + 1))
+    np.fill_diagonal(B, alphas)
+    np.fill_diagonal(B[:, 1:], betas)
+    return B
 
 
 def _singular_values(matrix) -> np.ndarray:
@@ -203,7 +282,7 @@ def sigma_min(matrix) -> float:
 
 
 def spectral_norm(matrix) -> float:
-    """Operator 2-norm: the largest singular value (by Lanczos for a HankelOperator)."""
+    """Operator 2-norm: the largest singular value (by Golub-Kahan for a HankelOperator)."""
     if isinstance(matrix, HankelOperator):
         norm = _lanczos_norm(matrix)
         if norm is not None:

@@ -44,7 +44,8 @@ def draw_noise(rng: np.random.Generator, sigma: float, kind: str, M: int) -> np.
     """Draw a noise vector of length M+1 from an existing RNG stream.
 
     real: entries N(0, sigma^2), returned as complex with zero imaginary
-    part. complex-circular: real and imaginary parts each N(0, sigma^2/2),
+    part; a HankelOperator of such data applies it in real arithmetic.
+    complex-circular: real and imaginary parts each N(0, sigma^2/2),
     so E|eta_m|^2 = sigma^2. sigma = 0 gives zeros without drawing, so the
     stream is left untouched.
     """

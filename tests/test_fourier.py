@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from srmusic.fourier import (
     vandermonde,
 )
 from srmusic.music import RankDeficientError, music_estimate
+from srmusic.noise import NOISE_KINDS, draw_noise
 from srmusic.torus import SupportSet
 
 # Orthonormality / factorization / numerical-rank tolerances.
@@ -198,6 +200,14 @@ def measurements(seed, M, S, sigma, real):
     return y + sigma * (rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1))
 
 
+def count_calls(H, method):
+    """Count calls of one HankelOperator method; returns a function reading the count."""
+    calls = []
+    apply = getattr(H, method)
+    setattr(H, method, lambda x: calls.append(1) or apply(x))
+    return lambda: len(calls)
+
+
 # (M, L): square, more rows than columns, more columns than rows; all sides > DENSE_MAX.
 OPERATOR_SHAPES = [(800, 400), (800, 410), (800, 390)]
 
@@ -236,27 +246,95 @@ class TestLanczosPath:
         assert spectral_norm(H) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12, abs=0)
         assert_split_matches_dense(H, S)
 
-    def test_arpack_failure_falls_back_to_dense(self, monkeypatch):
-        import scipy.sparse.linalg
+    @pytest.mark.parametrize("M, L", OPERATOR_SHAPES)
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_noise_norm_matches_dense(self, M, L, kind):
+        for seed in range(3):
+            H = hankel(draw_noise(np.random.default_rng(seed), 1.0, kind, M), L)
+            assert H.dtype == (float if kind == "real" else complex)
+            dense = np.linalg.norm(H.toarray(), 2)
+            assert spectral_norm(H) == pytest.approx(dense, rel=1e-14, abs=0)
 
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+    @pytest.mark.parametrize("M, L", OPERATOR_SHAPES)
+    def test_rank_one_breaks_down(self, M, L):
+        # y[i+j] = r^i r^j: the Krylov spaces are exhausted after a step or two.
+        H = hankel(0.999 ** np.arange(M + 1.0), L)
+        steps = count_calls(H, "rmatvec")
+        norm = spectral_norm(H)
+        assert steps() < fourier.LANCZOS_CHECK_EVERY
+        assert norm == pytest.approx(np.linalg.norm(H.toarray(), 2), rel=1e-14, abs=0)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "svds", no_convergence)
-        H = hankel(measurements(2, 1100, 2, 1.0, real=False), 550)
+    @pytest.mark.parametrize("M, L", [(20, 10), (21, 10), (21, 11)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_exhausted_krylov_space_breaks_down(self, M, L, real):
+        # Built directly below the cutoff: after the 11 steps of the shorter
+        # side no direction is left, so beta breaks down before the step cap.
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=M + 1) + (0.0 if real else 1j) * rng.normal(size=M + 1)
+        H = HankelOperator(y, L)
+        norm = fourier._lanczos_norm(H)
+        assert norm is not None
+        assert norm == pytest.approx(np.linalg.norm(H.toarray(), 2), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("y", [np.zeros(2001), np.zeros(2001, dtype=complex)],
+                             ids=["real", "complex"])
+    def test_zero_data_has_norm_zero(self, y):
+        H = hankel(y, 1000)
+        assert isinstance(H, HankelOperator)
+        assert spectral_norm(H) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_raises(self, bad):
+        y = np.ones(2001)
+        y[7] = bad
+        with np.errstate(invalid="ignore"):
+            H = hankel(y, 1000)
+        # The message of the dense path, which raises it on NaN entries.
+        with pytest.raises(np.linalg.LinAlgError, match=r"SVD failed on a \(1001, 1001\) matrix"):
+            spectral_norm(H)
+
+    def test_step_cap_falls_back_to_dense(self, monkeypatch):
+        H = hankel(draw_noise(np.random.default_rng(2), 1.0, "complex-circular", 1100), 550)
+        monkeypatch.setattr(fourier, "LANCZOS_MAX_STEPS", 2 * fourier.LANCZOS_CHECK_EVERY)
+        assert fourier._lanczos_norm(H) is None
         assert spectral_norm(H) == spectral_norm(H.toarray())
+
+    def test_step_count(self):
+        # Measured: the residual test fails at 24 steps (1.7e-9 theta) and
+        # passes at 28 (about 4e-12 theta).
+        H = hankel(draw_noise(np.random.default_rng(0), 1.0, "real", 2000), 1000)
+        steps = count_calls(H, "rmatvec")
+        spectral_norm(H)
+        assert steps() == 28
+
+    @pytest.mark.parametrize("n", [401, 402, 403, 404, 500])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_periodic_data_matches_dense(self, n, real):
+        # y periodic with period L+1: the all-ones vector is a singular
+        # vector of H, rarely the top one. A start there stops at once.
+        rng = np.random.default_rng(n)
+        z = rng.normal(size=n) + (0.0 if real else 1j) * rng.normal(size=n)
+        H = hankel(z[np.arange(2 * n - 1) % n], n - 1)
+        dense = np.linalg.norm(H.toarray(), 2)
+        assert spectral_norm(H) == pytest.approx(dense, rel=1e-14, abs=0)
 
     def test_matvec_rmatvec(self):
         rng = np.random.default_rng(11)
-        for M, L in OPERATOR_SHAPES:
-            H = hankel(rng.normal(size=M + 1) + 1j * rng.normal(size=M + 1), L)
+        for (M, L), real_data in itertools.product(OPERATOR_SHAPES, (False, True)):
+            y = rng.normal(size=M + 1) + (0.0 if real_data else 1j) * rng.normal(size=M + 1)
+            H = hankel(y, L)
+            assert H.dtype == (float if real_data else complex)
             A = H.toarray()
             x = rng.normal(size=(M - L + 1, 3)) + 1j * rng.normal(size=(M - L + 1, 3))
             z = rng.normal(size=(L + 1, 3)) + 1j * rng.normal(size=(L + 1, 3))
-            assert np.allclose(H.matvec(x[:, 0]), A @ x[:, 0], rtol=0, atol=1e-10)
-            assert np.allclose(H.rmatvec(z[:, 0]), A.conj().T @ z[:, 0], rtol=0, atol=1e-10)
-            assert np.allclose(H.matvec(x), A @ x, rtol=0, atol=1e-10)
-            assert np.allclose(H.rmatvec(z), A.conj().T @ z, rtol=0, atol=1e-10)
+            for xs, zs in ((x, z), (x.real, z.real)):
+                assert np.allclose(H.matvec(xs[:, 0]), A @ xs[:, 0], rtol=0, atol=1e-10)
+                assert np.allclose(H.rmatvec(zs[:, 0]), A.conj().T @ zs[:, 0], rtol=0, atol=1e-10)
+                assert np.allclose(H.matvec(xs), A @ xs, rtol=0, atol=1e-10)
+                assert np.allclose(H.rmatvec(zs), A.conj().T @ zs, rtol=0, atol=1e-10)
+                # Real data and a real vector stay real.
+                real = real_data and np.isrealobj(xs)
+                assert np.isrealobj(H.matvec(xs)) == real and np.isrealobj(H.rmatvec(zs)) == real
 
     def test_toarray_matches_indexing(self):
         y = np.arange(801.0) + 1j * np.arange(801.0) ** 2
@@ -289,22 +367,23 @@ class TestLanczosPath:
         assert empty.signal_space.shape == (L + 1, 0)
         assert np.array_equal(svd_split(H, L).signal_space, svd_split(H.toarray(), L).signal_space)
 
-    def test_sparse_linalg_not_imported_on_load(self):
-        # scipy.linalg costs about 29 MB of memory; MUSIC must not load it,
-        # at any size.
+    def test_scipy_never_imported(self):
+        # Neither the CLI, MUSIC nor a Hankel norm above the cutoff loads scipy.
         code = (
             "import sys, numpy as np, srmusic.cli\n"
+            "from srmusic.fourier import hankel, spectral_norm\n"
             "from srmusic.music import music_estimate\n"
-            "def loaded(): return [m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')]\n"
-            "on_import = loaded()\n"
             "M = 1000\n"
             "y = np.exp(-2j * np.pi * np.outer(np.arange(M + 1), [0.2, 0.2005, 0.7])).sum(axis=1)\n"
             "music_estimate(y + 0.01 * np.random.default_rng(0).normal(size=M + 1), S=3)\n"
-            "print(on_import, loaded())\n"
+            "eta = np.random.default_rng(1).normal(size=(2, 2001))\n"
+            "for y in (eta[0], eta[0] + 1j * eta[1]):\n"
+            "    spectral_norm(hankel(y, 1000))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True).stdout
-        assert out.strip() == "[False, False] [False, False]"
+        assert out.strip() == "[]"
 
 
 class TestSubspaceIteration:

@@ -239,6 +239,21 @@ class TestPerturbationCampaign:
         assert all(r.values["sup_diff"] <= r.values["wedin_bound"] for r in ok)
         assert all(r.values["success"] for r in ok)
 
+    def test_zero_sigma_above_the_cutoff(self):
+        # At M = 800 the 401 x 401 noise Hankel is a HankelOperator; at
+        # sigma = 0 its norm is exactly 0, as on the dense path.
+        config = ExperimentConfig(
+            kind="perturbation-check",
+            clump_spec=pair_spec(M=800),
+            sigmas=(0.0, 0.1),
+            trials_per_cell=1,
+        )
+        zero, noisy = run_experiment(config)
+        assert zero.error == noisy.error == ""
+        assert zero.values["hankel_noise_norm"] == 0.0
+        assert zero.values["wedin_bound"] == 0.0 and zero.values["precondition_ok"]
+        assert noisy.values["hankel_noise_norm"] > 0.0
+
 
 class TestSummaries:
     def test_phase_transition_table(self):
