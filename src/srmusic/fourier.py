@@ -193,9 +193,9 @@ def _subspace_iteration(H: HankelOperator, S: int) -> HankelSvd | None:
 def _lanczos_norm(H: HankelOperator) -> float | None:
     """Largest singular value of H by Golub-Kahan bidiagonalization; None past the step cap.
 
-    Runs on the shorter side, in H.dtype, with full reorthogonalization.
-    After k steps U_k* H V_k is the upper bidiagonal B_k, and
-    the top singular pair (theta, p, q) of B_k leaves the residual
+    Runs on the shorter side (on H* when H is wide), in H.dtype, with full
+    reorthogonalization. After k steps U_k* H V_k is the upper bidiagonal
+    B_k, and the top singular pair (theta, p, q) of B_k leaves the residual
     beta_k |p[k]| in H* (U_k p) - theta V_k q. A zero alpha or beta (to
     rounding) means the Krylov spaces are invariant, and hold the top
     singular pair unless the start vector is orthogonal to it. So the start
