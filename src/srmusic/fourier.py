@@ -4,12 +4,12 @@ Singular values and vectors come from dense SVDs (thin where singular
 vectors are needed), except for a Hankel matrix whose shorter side exceeds
 DENSE_MAX. hankel does not form that one: it returns a HankelOperator that
 applies it by FFT, in real arithmetic where the data and the vector are
-real. spectral_norm then takes its largest singular value from Golub-Kahan
-bidiagonalization (Golub & Kahan, SIAM J. Numer. Anal. 1965), and svd_split
-its top-S left singular subspace from block subspace iteration with a
-Rayleigh-Ritz step (Halko, Martinsson & Tropp, SIAM Review 2011). Each falls
-back to the dense SVD of the formed matrix when the iteration does not
-settle the answer. Everything here is numpy alone.
+real. One Golub-Kahan bidiagonalization (Golub & Kahan, SIAM J. Numer.
+Anal. 1965) then serves both iterative callers: spectral_norm takes the top
+Ritz value, and svd_split the top-S Ritz values and left Ritz vectors. Each
+falls back to the dense SVD of the formed matrix when the iteration does
+not settle the answer. A dense SVD of non-finite entries is refused before
+LAPACK sees it. Everything here is numpy alone.
 """
 
 from __future__ import annotations
@@ -24,18 +24,14 @@ from srmusic.torus import SupportSet
 # hankel forms the matrix while its shorter side has at most this many entries.
 DENSE_MAX = 384
 
-# Subspace iteration in svd_split: a block of S + OVERSAMPLING vectors, at
-# most MAX_ITERATIONS power steps, and acceptance when every top-S residual
-# ||H v_i - sigma_i u_i|| is at most RESIDUAL_TOL * eps * sigma_1. Its
-# rounding floor measured 1-7 eps * sigma_1 at M = 800-8000.
-OVERSAMPLING = 8
-MAX_ITERATIONS = 40
-RESIDUAL_TOL = 64.0
-
-# Golub-Kahan bidiagonalization in spectral_norm: every LANCZOS_CHECK_EVERY
-# steps the top Ritz pair is accepted when its residual is at most
-# LANCZOS_TOL * theta_1; past LANCZOS_MAX_STEPS the matrix is formed.
+# Golub-Kahan bidiagonalization (_golub_kahan): every LANCZOS_CHECK_EVERY
+# steps the top Ritz pairs are accepted when each residual is at most
+# tol * theta_1; past LANCZOS_MAX_STEPS the matrix is formed. spectral_norm
+# takes tol = LANCZOS_TOL for its one pair, and svd_split
+# tol = RESIDUAL_TOL * eps for its S pairs, near the rounding floor of a
+# subspace residual, 1-7 eps * sigma_1 at M = 800-8000.
 LANCZOS_TOL = 1e-10
+RESIDUAL_TOL = 64.0
 LANCZOS_CHECK_EVERY = 4
 LANCZOS_MAX_STEPS = 256
 
@@ -47,8 +43,8 @@ class HankelSvd:
     signal_space has the top-S left singular vectors as orthonormal
     columns; its orthogonal complement in C^(L+1) is the noise space.
     singular_values is nonincreasing: the full set from a dense SVD, the top
-    S+1 from subspace iteration. There the first S are converged, and the
-    last is a Ritz value, a lower bound on sigma_{S+1}.
+    S+1 Ritz values from Golub-Kahan bidiagonalization. There the first S
+    are converged, and the last is a lower bound on sigma_{S+1}.
     """
 
     signal_space: np.ndarray
@@ -60,11 +56,10 @@ class HankelOperator:
 
     H x is the correlation sum_j y[i+j] x[j], and H* z the same sum over
     conj(y). Each is one product with a precomputed FFT of y or conj(y) at
-    a power-of-two length n > M, so no index wraps around. Both take a
-    vector or an (n, b) block, whose columns go through one batched FFT.
-    When y has no nonzero imaginary part, dtype is float and a real vector
-    goes through rfft and irfft instead, in real arithmetic; a complex
-    vector takes the complex FFTs either way.
+    a power-of-two length n > M, so no index wraps around. When y has no
+    nonzero imaginary part, dtype is float and a real vector goes through
+    rfft and irfft instead, in real arithmetic; a complex vector takes the
+    complex FFTs either way.
     """
 
     def __init__(self, y: np.ndarray, L: int):
@@ -80,17 +75,16 @@ class HankelOperator:
 
     def _correlate(self, x, length: int, adjoint: bool) -> np.ndarray:
         x = np.asarray(x)
-        shape = (-1,) + (1,) * (x.ndim - 1)
         if self._rfft_y is not None and not np.iscomplexobj(x):
             # Real y and x: the FFT of sum_j y[i+j] x[j] is FFT(y) conj(FFT(x)).
-            x_hat = np.fft.rfft(x, self._n, axis=0)
+            x_hat = np.fft.rfft(x, self._n)
             np.conjugate(x_hat, out=x_hat)
-            x_hat *= self._rfft_y.reshape(shape)
-            return np.fft.irfft(x_hat, self._n, axis=0)[:length]
+            x_hat *= self._rfft_y
+            return np.fft.irfft(x_hat, self._n)[:length]
         # FFT of sum_j k[i+j] x[j] is FFT(k) times the unscaled inverse FFT of x.
         kernel = self._fft_conj_y if adjoint else self._fft_y
-        x_hat = np.fft.ifft(x, self._n, axis=0, norm="forward")
-        return np.fft.ifft(kernel.reshape(shape) * x_hat, axis=0)[:length]
+        x_hat = np.fft.ifft(x, self._n, norm="forward")
+        return np.fft.ifft(kernel * x_hat)[:length]
 
     def matvec(self, x) -> np.ndarray:
         return self._correlate(x, self.shape[0], adjoint=False)
@@ -137,12 +131,15 @@ def svd_split(H: np.ndarray | HankelOperator, S: int) -> HankelSvd:
     """Top-S left singular subspace of an (L+1)-row Hankel matrix.
 
     An ndarray is split by its dense thin SVD. A HankelOperator goes through
-    _subspace_iteration first, and is formed and split densely when that
-    returns None: when S = 0, when the block of S + OVERSAMPLING vectors
-    exceeds a quarter of the shorter side, when the residuals do not settle
-    within MAX_ITERATIONS, when sigma_S <= 2 sigma_{S+1} (no gap to pin the
-    subspace), or when sigma_S <= sqrt(eps) sigma_1 (S at or above the
-    numerical rank, which callers then read from dense values).
+    _golub_kahan first, and is formed and split densely when S = 0, past the
+    step cap (at once when S >= LANCZOS_MAX_STEPS, which no check reaches),
+    on a breakdown with at most S Ritz values, when
+    sigma_S <= 2 sigma_{S+1} (no gap to pin the subspace), or when
+    sigma_S <= sqrt(eps) sigma_1 (S at or above the numerical rank, which
+    callers then read from dense values). The two tests also catch a Krylov
+    space that holds one copy of a repeated singular value: from a single
+    start vector, the other copies stay out of it and a small Ritz value
+    takes their place.
     """
     rows, cols = H.shape
     L = rows - 1
@@ -150,63 +147,40 @@ def svd_split(H: np.ndarray | HankelOperator, S: int) -> HankelSvd:
         raise ValueError(f"S = {S} must lie in [0, min({rows}, {cols})]")
     if S > L:
         raise ValueError(f"S = {S} leaves no noise space for L = {L}")
-    if isinstance(H, HankelOperator):
-        split = _subspace_iteration(H, S)
-        if split is not None:
-            return split
-        H = H.toarray()
-    try:
-        u, s, _ = np.linalg.svd(H, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"SVD failed on a {rows}x{cols} Hankel matrix: {exc}"
-        ) from exc
+    eps = np.finfo(float).eps
+    if isinstance(H, HankelOperator) and 0 < S < LANCZOS_MAX_STEPS:
+        ritz = _golub_kahan(H, S, RESIDUAL_TOL * eps)
+        if ritz is not None and len(ritz[0]) > S:
+            s, u = ritz
+            if s[S - 1] > 2.0 * s[S] and s[S - 1] > np.sqrt(eps) * s[0]:
+                return HankelSvd(signal_space=u, singular_values=s[: S + 1])
+    u, s, _ = _dense_svd(H, compute_uv=True)
     return HankelSvd(signal_space=u[:, :S], singular_values=s)
 
 
-def _subspace_iteration(H: HankelOperator, S: int) -> HankelSvd | None:
-    """Top-S split of H by block subspace iteration; None where svd_split goes dense."""
-    rows, cols = H.shape
-    block = S + OVERSAMPLING
-    if S == 0 or 4 * block > min(rows, cols):
-        return None
-    # A fresh generator per call: the start block is the same on every call
-    # and in every thread.
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal((cols, block)) + 1j * rng.standard_normal((cols, block))
-    q = np.linalg.qr(H.matvec(start))[0]
-    eps = np.finfo(float).eps
-    for _ in range(MAX_ITERATIONS):
-        # Rayleigh-Ritz: H* q = v s w*, so u = q w has H* u = v s exactly.
-        v, s, wh = np.linalg.svd(H.rmatvec(q), full_matrices=False)
-        u = q @ wh.conj().T
-        hv = H.matvec(v)
-        residuals = np.linalg.norm(hv[:, :S] - u[:, :S] * s[:S], axis=0)
-        if residuals.max() <= RESIDUAL_TOL * eps * s[0]:
-            if s[S - 1] <= 2.0 * s[S] or s[S - 1] <= np.sqrt(eps) * s[0]:
-                return None
-            return HankelSvd(signal_space=u[:, :S], singular_values=s[: S + 1])
-        q = np.linalg.qr(hv)[0]
-    return None
-
-
-def _lanczos_norm(H: HankelOperator) -> float | None:
-    """Largest singular value of H by Golub-Kahan bidiagonalization; None past the step cap.
+def _golub_kahan(H: HankelOperator, S: int, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ritz values of H and its top-S left Ritz vectors; None past the step cap.
 
     Runs on the shorter side (on H* when H is wide), in H.dtype, with full
     reorthogonalization. After k steps U_k* H V_k is the upper bidiagonal
-    B_k, and the top singular pair (theta, p, q) of B_k leaves the residual
-    beta_k |p[k]| in H* (U_k p) - theta V_k q. A zero alpha or beta (to
-    rounding) means the Krylov spaces are invariant, and hold the top
-    singular pair unless the start vector is orthogonal to it. So the start
-    is a fixed pseudo-random vector: the all-ones vector is a singular
-    vector of some structured H (e.g. y periodic with period L+1), and from
-    it the iteration would stop at once with that vector's singular value.
+    B_k, and each singular triplet (theta_i, p_i, q_i) of B_k leaves the
+    residual beta_k |p_i[k]| in H* (U_k p_i) - theta_i V_k q_i. Every
+    LANCZOS_CHECK_EVERY steps, once B_k has more than S values, they are
+    accepted when the top S residuals are at most tol * theta_1. The left
+    Ritz vectors are U_k p_i, or V_k q_i when the iteration runs on H*.
+
+    A zero alpha or beta (to rounding) means the Krylov spaces are
+    invariant: the bidiagonal so far is H on them, and its values are
+    singular values of H. They hold the top one unless the start vector is
+    orthogonal to it. So the start is a fixed pseudo-random vector: the
+    all-ones vector is a singular vector of some structured H (e.g. y
+    periodic with period L+1), and from it the iteration would stop at once
+    with that vector's singular value.
     """
-    if not np.isfinite(H._y).all():
-        raise np.linalg.LinAlgError(f"SVD failed on a {H.shape} matrix: non-finite entries")
+    _require_finite(H._y, H.shape)
     rows, cols = H.shape
-    apply, adjoint = (H.matvec, H.rmatvec) if cols <= rows else (H.rmatvec, H.matvec)
+    tall = cols <= rows
+    apply, adjoint = (H.matvec, H.rmatvec) if tall else (H.rmatvec, H.matvec)
     n = min(rows, cols)
     eps = np.finfo(float).eps
     # Room for 32 steps; the bases double as they fill, so they hold about
@@ -218,6 +192,12 @@ def _lanczos_norm(H: HankelOperator) -> float | None:
     # A fresh generator per call: the same start on every call and in every thread.
     v = np.random.default_rng(0).standard_normal(n).astype(H.dtype)
     v /= np.linalg.norm(v)
+
+    def ritz_vectors(p, qh):
+        if tall:
+            return U[: len(alphas)].T @ p[:, :S]
+        return V[: len(betas) + 1].T @ qh[:S].T
+
     for k in range(min(LANCZOS_MAX_STEPS, n)):
         if k == len(V):
             V, U = (np.concatenate([A, np.empty_like(A)]) for A in (V, U))
@@ -236,17 +216,22 @@ def _lanczos_norm(H: HankelOperator) -> float | None:
         scale = max(scale, beta)
         if beta <= eps * scale:
             break
-        if (k + 1) % LANCZOS_CHECK_EVERY == 0:
-            p, theta, _ = np.linalg.svd(_bidiagonal(alphas, betas))
-            if beta * abs(p[-1, 0]) <= LANCZOS_TOL * theta[0]:
-                return float(theta[0])
+        if (k + 1) % LANCZOS_CHECK_EVERY == 0 and k + 1 > S:
+            p, theta, qh = np.linalg.svd(_bidiagonal(alphas, betas))
+            if (beta * np.abs(p[-1, :S]) <= tol * theta[0]).all():
+                return theta, ritz_vectors(p, qh)
         betas.append(beta)
         v /= beta
     else:
         return None
     # Breakdown: H maps the Krylov spaces into each other, and the bidiagonal
-    # so far is H on them.
-    return float(np.linalg.svd(_bidiagonal(alphas, betas), compute_uv=False)[0]) if alphas else 0.0
+    # so far is H on them. Its values are exact, so they come from the
+    # values-only SVD (dqds), to high relative accuracy.
+    if not alphas:
+        return np.zeros(0), np.zeros((rows, 0), H.dtype)
+    B = _bidiagonal(alphas, betas)
+    p, _, qh = np.linalg.svd(B)
+    return np.linalg.svd(B, compute_uv=False), ritz_vectors(p, qh)
 
 
 def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> float:
@@ -266,26 +251,32 @@ def _bidiagonal(alphas: list, betas: list) -> np.ndarray:
     return B
 
 
-def _singular_values(matrix) -> np.ndarray:
-    a = np.asarray(matrix)
+def _require_finite(data: np.ndarray, shape: tuple) -> None:
+    if not np.isfinite(data).all():
+        raise np.linalg.LinAlgError(f"SVD failed on a {shape} matrix: non-finite entries")
+
+
+def _dense_svd(matrix, compute_uv: bool = False):
+    """Thin SVD of a matrix (a HankelOperator is formed); the singular values alone by default."""
+    a = matrix.toarray() if isinstance(matrix, HankelOperator) else np.asarray(matrix)
     if a.size == 0:
         raise ValueError("matrix is empty")
+    _require_finite(a, a.shape)
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"SVD failed on a {a.shape} matrix: {exc}") from exc
 
 
 def sigma_min(matrix) -> float:
     """Smallest singular value."""
-    return float(_singular_values(matrix).min())
+    return float(_dense_svd(matrix).min())
 
 
 def spectral_norm(matrix) -> float:
     """Operator 2-norm: the largest singular value (by Golub-Kahan for a HankelOperator)."""
     if isinstance(matrix, HankelOperator):
-        norm = _lanczos_norm(matrix)
-        if norm is not None:
-            return norm
-        matrix = matrix.toarray()
-    return float(_singular_values(matrix).max())
+        ritz = _golub_kahan(matrix, 1, LANCZOS_TOL)
+        if ritz is not None:
+            return float(ritz[0].max(initial=0.0))
+    return float(_dense_svd(matrix).max())

@@ -431,16 +431,16 @@ class TestCampaignTable:
     ])
     def test_jobs_independence_above_cutoff(self, kind, fields, tmp_path, monkeypatch):
         # At M = 800 each Hankel matrix is 401 x 401, above DENSE_MAX, so the
-        # splits come from subspace iteration, here in two threads at once.
+        # splits and norms come from Golub-Kahan, here in two threads at once.
         iterated = []
 
-        def spy(H, S):
-            split = subspace_iteration(H, S)
-            iterated.append(split is not None)
-            return split
+        def spy(H, S, tol):
+            ritz = golub_kahan(H, S, tol)
+            iterated.append(ritz is not None)
+            return ritz
 
-        subspace_iteration = fourier._subspace_iteration
-        monkeypatch.setattr(fourier, "_subspace_iteration", spy)
+        golub_kahan = fourier._golub_kahan
+        monkeypatch.setattr(fourier, "_golub_kahan", spy)
         config = ExperimentConfig(kind=kind, base_seed=3, clump_spec=pair_spec(M=800),
                                   trials_per_cell=2, **fields)
         p1 = save_records(run_experiment(config, jobs=1), config, tmp_path / "j1")
