@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,8 +64,8 @@ class SynthesisSpec:
     """A `music --synthesize` spec: a support and M, or a clump_spec; then the noise."""
 
     schema: int | None = None
-    support: dict | None = None
-    clump_spec: dict | None = None
+    support: SupportSet | None = None
+    clump_spec: ClumpSpec | None = None
     M: int | None = None
     amplitude_model: str | dict = "random-phase-unit"
     sigma: float = 0.0
@@ -102,35 +102,19 @@ def _write_manifest(out_dir: Path, subcommand: str, options: dict, outputs: list
     return path
 
 
-def _load_support(path) -> SupportSet:
-    return SupportSet.from_dict(json.loads(Path(path).read_text()))
-
-
 def _cmd_gen_support(args) -> int:
-    spec = ClumpSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    spec = from_fields(ClumpSpec, json.loads(Path(args.spec).read_text()))
     support, partition = generate_clumps(spec, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "support.json").write_text(json.dumps(support.to_dict(), indent=2) + "\n")
-    (out / "partition.json").write_text(
-        json.dumps(
-            {
-                "clumps": [list(c) for c in partition.clumps],
-                "M": partition.M,
-                "S": partition.S,
-                "alpha": partition.alpha,
-                "beta": partition.beta,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    (out / "support.json").write_text(json.dumps(asdict(support), indent=2) + "\n")
+    (out / "partition.json").write_text(json.dumps(asdict(partition), indent=2) + "\n")
     _write_manifest(
         out,
         "gen-support",
         {"spec": str(args.spec), "seed": args.seed, "out": str(out)},
         ["support.json", "partition.json"],
-        config=spec.to_dict(),
+        config=asdict(spec),
     )
     delta = min_separation(support) if support.size >= 2 else None
     print(f"generated {support.size} points in {partition.num_clumps} clumps")
@@ -142,7 +126,7 @@ def _cmd_gen_support(args) -> int:
 
 
 def _cmd_sigma_min(args) -> int:
-    support = _load_support(args.support)
+    support = from_fields(SupportSet, json.loads(Path(args.support).read_text()))
     value = sigma_min(vandermonde(support, args.M))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -165,12 +149,10 @@ def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
                        name="synthesis spec")
     rng = np.random.default_rng(args.seed)
     if spec.clump_spec is not None:
-        cspec = ClumpSpec.from_dict(spec.clump_spec)
-        support, _ = generate_clumps(cspec, seed=rng)
-        M = cspec.M
+        support, _ = generate_clumps(spec.clump_spec, seed=rng)
+        M = spec.clump_spec.M
     elif spec.support is not None and spec.M is not None:
-        support = SupportSet.from_dict(spec.support)
-        M = spec.M
+        support, M = spec.support, spec.M
     else:
         raise ValueError("synthesis spec needs either 'clump_spec' or 'support' and 'M'")
     amp = AmplitudeModel.from_dict(spec.amplitude_model)
@@ -193,9 +175,8 @@ def _cmd_music(args) -> int:
         S = args.S if args.S is not None else truth.size
     M = len(y) - 1
     L = args.L if args.L is not None else M // 2
-    N = args.grid if args.grid is not None else 16 * M
-
-    estimate = music_estimate(y, S=S, L=L, N=N, refine=args.refine)
+    estimate = music_estimate(y, S=S, L=L, N=args.grid, refine=args.refine)
+    N = estimate.grid.resolution
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -33,6 +33,7 @@ from srmusic.bounds import (
 )
 from srmusic.fourier import hankel, sigma_min, spectral_norm, svd_split, vandermonde
 from srmusic.music import (
+    DEFAULT_GRID_FACTOR,
     correlation_sup_diff,
     match_supports,
     music_estimate,
@@ -136,6 +137,9 @@ class ExperimentConfig:
         missing = [name for name in kind.requires if getattr(self, name) in (None, ())]
         if missing:
             raise ValueError(f"{self.kind} config is missing: {', '.join(missing)}")
+        if (self.M is not None and self.clump_spec is not None
+                and self.M != self.clump_spec.M):
+            raise ValueError(f"M = {self.M} disagrees with clump_spec M = {self.clump_spec.M}")
         if self.L is not None and not 0 <= self.L <= self.resolved_m:
             raise ValueError(f"L = {self.L} outside [0, M] = [0, {self.resolved_m}]")
         if self.clump_spec is not None:
@@ -157,20 +161,15 @@ class ExperimentConfig:
 
     @property
     def resolved_n(self) -> int:
-        return self.N if self.N is not None else 16 * self.resolved_m
+        return self.N if self.N is not None else DEFAULT_GRID_FACTOR * self.resolved_m
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def to_dict(self) -> dict:
-        out = {"schema": CONFIG_SCHEMA}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (ClumpSpec, AmplitudeModel)):
-                value = value.to_dict()
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        return {"schema": CONFIG_SCHEMA, **asdict(self),
+                "amplitude_model": self.amplitude_model.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -178,8 +177,6 @@ class ExperimentConfig:
         schema = d.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
             raise ValueError(f"unsupported config schema {schema}")
-        if d.get("clump_spec") is not None:
-            d["clump_spec"] = ClumpSpec.from_dict(d["clump_spec"])
         if "amplitude_model" in d:
             d["amplitude_model"] = AmplitudeModel.from_dict(d["amplitude_model"])
         return from_fields(cls, d)
@@ -469,16 +466,6 @@ class PhaseTransitionSummary:
     level90: tuple[float | None, ...]
     success_rule: str = "match_supports < alpha/(2M)"
 
-    def to_dict(self) -> dict:
-        return {
-            "srf": list(self.srf),
-            "sigma_over_xmin": list(self.sigma_over_xmin),
-            "success_rate": [list(row) for row in self.success_rate],
-            "trials_per_cell": self.trials_per_cell,
-            "level90": list(self.level90),
-            "success_rule": self.success_rule,
-        }
-
 
 def phase_transition_summary(
     records: Sequence[ExperimentRecord], nominal_x_min: float = 1.0
@@ -608,7 +595,7 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
         prepare=_concentration,
         columns=("sigma", "trial", "seed", "hankel_norm"),
         summary=lambda records, config: {
-            "reports": [rep.to_dict() for rep in concentration_summary(records, config)]
+            "reports": [asdict(rep) for rep in concentration_summary(records, config)]
         },
     ),
     "phase-transition": CampaignKind(
@@ -619,9 +606,9 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
         columns=("alpha", "srf", "sigma", "trial", "seed", "matched_error", "success",
                  "error"),
         summary=lambda records, config: {
-            "table": phase_transition_summary(
+            "table": asdict(phase_transition_summary(
                 records, nominal_x_min=config.amplitude_model.nominal_x_min
-            ).to_dict()
+            ))
         },
     ),
 }

@@ -144,21 +144,6 @@ class ConcentrationReport:
     L: int
     tail_wilson: tuple[float, float] = field(default=(0.0, 1.0))
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "empirical_mean_norm": self.empirical_mean_norm,
-            "expectation_bound": self.expectation_bound,
-            "tail_t": self.tail_t,
-            "empirical_tail_prob": self.empirical_tail_prob,
-            "tail_bound": self.tail_bound,
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "M": self.M,
-            "L": self.L,
-            "tail_wilson": list(self.tail_wilson),
-        }
-
 
 def concentration_report(
     norms: np.ndarray, sigma: float, M: int, L: int, kind: str

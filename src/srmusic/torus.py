@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import types
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from typing import NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -63,8 +63,11 @@ def _fits(value, hint) -> bool:
 
 
 def from_fields(cls, d: dict, name: str | None = None):
-    """cls(**d) for a dataclass; an unknown or missing key, or a value of the
-    wrong type, is a ValueError. Messages call d name, or the class name."""
+    """The one JSON decoder: cls(**d) for a dataclass, where a field typed as
+    a dataclass, or as that class | None, is decoded by a nested call (a None
+    or an instance passes as it is). An unknown or missing key, or a value of
+    the wrong type, is a ValueError; messages call d name, or the class name,
+    and a nested message names the inner class."""
     name = name or cls.__name__
     if not isinstance(d, dict):
         raise ValueError(f"{name} must be a JSON object, got {d!r}")
@@ -77,10 +80,18 @@ def from_fields(cls, d: dict, name: str | None = None):
     if missing:
         raise ValueError(f"{name} is missing: {', '.join(missing)}")
     hints = get_type_hints(cls)
+    values = {}
     for f in fields(cls):
-        if f.name in d and not _fits(d[f.name], hints[f.name]):
-            raise ValueError(f"{name} key {f.name!r} must be {f.type}, got {d[f.name]!r}")
-    return cls(**d)
+        if f.name not in d:
+            continue
+        value, hint = d[f.name], hints[f.name]
+        nested = [h for h in (hint, *get_args(hint)) if is_dataclass(h)]
+        if nested and not isinstance(value, (nested[0], type(None))):
+            value = from_fields(nested[0], value)
+        if not _fits(value, hint):
+            raise ValueError(f"{name} key {f.name!r} must be {f.type}, got {value!r}")
+        values[f.name] = value
+    return cls(**values)
 
 
 def torus_distance(a: float, b: float) -> float:
@@ -120,21 +131,12 @@ class SupportSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.points, dtype=float)
 
-    def to_dict(self) -> dict:
-        return {"points": list(self.points)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SupportSet":
-        return from_fields(cls, d)
-
 
 def min_separation(omega: SupportSet) -> float:
     """Smallest pairwise wrap-around distance; needs at least two points."""
     if omega.size < 2:
         raise ValueError("minimum separation is undefined for a single point")
-    pts = omega.as_array()
-    gaps = np.diff(np.append(pts, pts[0] + 1.0))
-    return float(gaps.min())
+    return float(_circular_gaps(omega.as_array()).min())
 
 
 def super_resolution_factor(M: int, delta: float) -> float:
@@ -203,21 +205,6 @@ class ClumpSpec:
     @property
     def total_points(self) -> int:
         return sum(self.clump_sizes)
-
-    def to_dict(self) -> dict:
-        return {
-            "num_clumps": self.num_clumps,
-            "clump_sizes": list(self.clump_sizes),
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "M": self.M,
-            "anchors": None if self.anchors is None else list(self.anchors),
-            "jitter": self.jitter,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClumpSpec":
-        return from_fields(cls, d)
 
 
 @dataclass(frozen=True)

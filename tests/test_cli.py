@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from srmusic.cli import CAMPAIGN_COMMANDS, main
 from srmusic.harness import ExperimentConfig
 from srmusic.music import save_measurements
-from srmusic.torus import ClumpSpec, SupportSet
+from srmusic.torus import ClumpSpec, SupportSet, from_fields
 from srmusic.fourier import vandermonde
 
 
@@ -44,22 +45,30 @@ class TestGenSupport:
     def test_writes_support_and_manifest(self, tmp_path, capsys):
         spec = ClumpSpec(2, (2, 2), alpha=0.5, beta=10.0, M=100)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec.to_dict()))
+        spec_path.write_text(json.dumps(asdict(spec)))
         out = tmp_path / "run"
         code = main(["gen-support", "--spec", str(spec_path), "--seed", "3",
                      "--out", str(out)])
         assert code == 0
-        support = SupportSet.from_dict(json.loads((out / "support.json").read_text()))
+        support = from_fields(SupportSet, json.loads((out / "support.json").read_text()))
         assert support.size == 4
+        assert (out / "support.json").read_text() == json.dumps({"points": [
+            0.08021208145920933, 0.08521208145920933, 0.8012744652063969, 0.8062744652063969,
+        ]}, indent=2) + "\n"
+        assert (out / "partition.json").read_text() == json.dumps({
+            "clumps": [[2, 3], [0, 1]], "M": 100, "S": 4, "alpha": 0.5, "beta": 10.0,
+        }, indent=2) + "\n"
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["subcommand"] == "gen-support"
         assert manifest["seed"] == 3
-        assert "support.json" in manifest["outputs"]
+        assert manifest["outputs"] == ["support.json", "partition.json"]
+        assert manifest["config"] == {"num_clumps": 2, "clump_sizes": [2, 2], "alpha": 0.5,
+                                      "beta": 10.0, "M": 100, "anchors": None, "jitter": 0.0}
 
     def test_infeasible_spec_exit_one(self, tmp_path, capsys):
         spec = ClumpSpec(2, (2, 2), alpha=0.5, beta=60.0, M=100)
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(spec.to_dict()))
+        spec_path.write_text(json.dumps(asdict(spec)))
         assert main(["gen-support", "--spec", str(spec_path),
                      "--out", str(tmp_path / "run")]) == 1
 
@@ -158,7 +167,8 @@ class TestMusic:
         ({"support": {"points": 0.2}},
          "SupportSet key 'points' must be tuple[float, ...], got 0.2"),
         ({"sigma": "0.01"}, "synthesis spec key 'sigma' must be float, got '0.01'"),
-    ], ids=["M-string", "points-number", "sigma-string"])
+        ({"support": "x"}, "SupportSet must be a JSON object, got 'x'"),
+    ], ids=["M-string", "points-number", "sigma-string", "support-string"])
     def test_wrong_synthesis_type_exit_one(self, tmp_path, capsys, change, message):
         spec = {"support": {"points": [0.2, 0.7]}, "M": 100, "sigma": 0.0, **change}
         path = tmp_path / "synth.json"
@@ -306,14 +316,14 @@ class TestCampaigns:
     @pytest.mark.parametrize("subcommand, config, headlines", [
         ("bounds-sweep",
          {"kind": "upper-bound-sweep", "S": 3, "alphas": [0.09, 0.06, 0.04, 0.03],
-          "clump_spec": ClumpSpec(1, (2,), alpha=0.09, beta=1.0, M=100).to_dict()},
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.09, beta=1.0, M=100))},
          ["  expected_slope = 1\n", "  fitted_ceiling_constant = "]),
         ("concentration",
          {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cell": 20},
          ["  complex-circular sigma 1.0: mean ||H(eta)|| = ", ", Wilson 0."]),
         ("phase-transition",
          {"kind": "phase-transition", "alphas": [0.5, 0.4], "sigmas": [0.0, 0.01],
-          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
          ["  SRF 2.00: level90 = 0.01  rates = [1. 1.]\n",
           "  log-log slope of level90 vs SRF: 0.000\n"]),
     ])
@@ -332,19 +342,19 @@ class TestCampaigns:
          "tail bound is read at t = 1.2*E-bound, which is 0 at sigma 0"),
         ("bounds-sweep",
          {"kind": "upper-bound-sweep", "alphas": [0.04], "S": 3,
-          "clump_spec": ClumpSpec(2, (2, 1), alpha=0.04, beta=10.0, M=100).to_dict()},
+          "clump_spec": asdict(ClumpSpec(2, (2, 1), alpha=0.04, beta=10.0, M=100))},
          "upper-bound-sweep uses a single-clump spec"),
         ("phase-transition",
          {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "L": 80,
-          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
          "L = 80 outside [0, M] = [0, 50]"),
         ("perturbation",
          {"kind": "perturbation-check", "sigmas": [0.1], "L": 1,
-          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
          "perturbation-check needs S <= L <= M+1-S, got S=2, L=1, M=50"),
         ("phase-transition",
          {"kind": "phase-transition", "alphas": [0.4, 0.6], "sigmas": [0.1],
-          "clump_spec": ClumpSpec(1, (3,), alpha=0.4, beta=1.0, M=50).to_dict()},
+          "clump_spec": asdict(ClumpSpec(1, (3,), alpha=0.4, beta=1.0, M=50))},
          "alphas entry 0.6: clump of 3 points"),
         ("concentration",
          {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cel": 5},
@@ -354,15 +364,22 @@ class TestCampaigns:
          "error: ExperimentConfig key 'sigmas' must be tuple[float, ...], got 1.0"),
         ("phase-transition",
          {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "amplitude_model": None,
-          "clump_spec": ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict()},
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
          "error: amplitude_model must be a kind or {\"kind\", \"range\"}, got None"),
         ("phase-transition",
          {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1],
-          "clump_spec": dict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50).to_dict(), M=50.5)},
+          "clump_spec": dict(asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50)), M=50.5)},
          "error: ClumpSpec key 'M' must be int, got 50.5"),
         ("concentration",
          {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cell": True},
          "error: ExperimentConfig key 'trials_per_cell' must be int, got True"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.0], "M": 100,
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
+         "error: M = 100 disagrees with clump_spec M = 50"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "clump_spec": 5},
+         "error: ClumpSpec must be a JSON object, got 5"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

@@ -100,6 +100,14 @@ class TestExperimentConfig:
             ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(),
                              alphas=(0.5,), sigmas=(0.1,), noise_kind="uniform")
 
+    def test_m_must_match_clump_spec(self):
+        with pytest.raises(ValueError, match="M = 100 disagrees with clump_spec M = 50"):
+            ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(M=50),
+                             alphas=(0.5,), sigmas=(0.0,), M=100)
+        config = ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(M=50),
+                                  alphas=(0.5,), sigmas=(0.0,), M=50)
+        assert config.resolved_m == 50
+
     def test_defaults_resolved(self):
         config = ExperimentConfig(
             kind="phase-transition",

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -221,7 +222,7 @@ class TestEstimateConcentration:
     def test_report_json_round_trip(self, tmp_path):
         report, _ = estimate_concentration(1.0, 30, 15, "real", trials=20, base_seed=0)
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        path.write_text(json.dumps(asdict(report), indent=2) + "\n")
         loaded = json.loads(path.read_text())
         assert loaded["trials"] == 20
         assert loaded["kind"] == "real"

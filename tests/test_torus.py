@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from srmusic.torus import (
     SeparationViolation,
     SupportSet,
     check_beta_condition,
+    from_fields,
     generate_clumps,
     min_separation,
     super_resolution_factor,
@@ -75,7 +77,7 @@ class TestSupportSet:
 
     def test_round_trip_dict(self):
         s = SupportSet([0.2, 0.7])
-        assert SupportSet.from_dict(s.to_dict()) == s
+        assert from_fields(SupportSet, asdict(s)) == s
 
 
 class TestMinSeparation:
@@ -237,22 +239,23 @@ class TestBetaCondition:
 class TestClumpSpecJson:
     def test_round_trip(self):
         spec = ClumpSpec(2, (2, 3), alpha=0.25, beta=10.0, M=500, jitter=0.5)
-        assert ClumpSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
+        assert from_fields(ClumpSpec, json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_optional_fields_default(self):
-        spec = ClumpSpec.from_dict(
+        spec = from_fields(
+            ClumpSpec,
             {"num_clumps": 1, "clump_sizes": [2], "alpha": 0.5, "beta": 1.0, "M": 10}
         )
         assert spec.anchors is None
         assert spec.jitter == 0.0
 
     def test_unknown_and_missing_keys_rejected(self):
-        d = ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=10).to_dict()
+        d = asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=10))
         with pytest.raises(ValueError, match="unknown ClumpSpec keys: jiter"):
-            ClumpSpec.from_dict({**d, "jiter": 0.5})
+            from_fields(ClumpSpec, {**d, "jiter": 0.5})
         del d["beta"]
         with pytest.raises(ValueError, match="ClumpSpec is missing: beta"):
-            ClumpSpec.from_dict(d)
+            from_fields(ClumpSpec, d)
 
     def test_invariant_checks(self):
         with pytest.raises(ValueError):
