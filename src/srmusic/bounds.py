@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from srmusic.fourier import sigma_min, vandermonde
-from srmusic.torus import ClumpSpec, SupportSet, generate_clumps, torus_distance
+from srmusic.torus import ClumpSpec, SupportSet, torus_distance
 
 
 class FitError(ValueError):
@@ -69,45 +69,35 @@ def require_aspect(M: int, S: int, allow_small_m: bool = False) -> None:
         )
 
 
-def _single_clump_sigma_min(spec: ClumpSpec, alpha: float) -> float:
-    """Exact sigma_min of one generated clump at the given spacing factor."""
-    probe = replace(
-        spec,
-        alpha=alpha,
-        anchors=spec.anchors if spec.anchors is not None else (0.0,),
-        jitter=0.0,
-    )
-    support, _ = generate_clumps(probe, seed=0)
-    return sigma_min(vandermonde(support, spec.M))
-
-
 def fit_clump_constants(
     spec: ClumpSpec,
     alphas: Sequence[float],
     allow_small_m: bool = False,
 ) -> ClumpBoundTerms:
-    """Calibrate the lower-bound constant of a single clump against exact SVD.
+    """Calibrate one lower-bound constant per clump of a spec against exact SVD.
 
-    For each alpha the clump is generated and sigma_min computed exactly; the
-    returned constant C = max_alpha sqrt(M)*alpha^(lam-1)/sigma_min is the
-    smallest one making the bound valid on every sample. sigma_min is
-    rotation invariant, so the anchor does not matter.
+    A constant depends on (clump size, M) only, so it is fitted once per
+    distinct size: for each alpha, sigma_min of the progression
+    {0, alpha/M, ..., (lam-1) alpha/M} is computed exactly, and
+    C = max_alpha sqrt(M)*alpha^(lam-1)/sigma_min is the smallest constant
+    making the bound valid on every sample. sigma_min is rotation invariant,
+    so the clump's anchor does not matter.
     """
-    if spec.num_clumps != 1:
-        raise ValueError("constants are calibrated one clump at a time")
     if len(alphas) < 4:
         raise FitError(f"need at least 4 alphas to calibrate, got {len(alphas)}")
     require_aspect(spec.M, spec.total_points, allow_small_m)
-    lam = spec.clump_sizes[0]
-    ratios = []
-    for a in alphas:
-        s = _single_clump_sigma_min(spec, float(a))
-        if s <= 0:
-            raise FitError(f"degenerate sigma_min at alpha = {a}")
-        ratios.append(math.sqrt(spec.M) * float(a) ** (lam - 1) / s)
+    by_size = {}
+    for lam in set(spec.clump_sizes):
+        ratios = []
+        for a in map(float, alphas):
+            s = sigma_min(vandermonde(SupportSet(np.arange(lam) * (a / spec.M)), spec.M))
+            if s <= 0:
+                raise FitError(f"degenerate sigma_min at alpha = {a}")
+            ratios.append(math.sqrt(spec.M) * a ** (lam - 1) / s)
+        by_size[lam] = max(ratios)
     return ClumpBoundTerms(
-        constants=(max(ratios),),
-        clump_sizes=(lam,),
+        constants=tuple(by_size[lam] for lam in spec.clump_sizes),
+        clump_sizes=spec.clump_sizes,
         alpha=spec.alpha,
         M=spec.M,
     )
@@ -121,7 +111,6 @@ class ScalingFit:
     fit unreliable (outside the clean power-law regime).
     """
 
-    samples: tuple[tuple[float, float], ...]
     slope: float
     intercept: float
     r_squared: float
@@ -152,12 +141,7 @@ def fit_scaling_exponent(samples: Sequence[tuple[float, float]]) -> ScalingFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return ScalingFit(
-        samples=tuple(ordered),
-        slope=float(slope),
-        intercept=float(intercept),
-        r_squared=r2,
-    )
+    return ScalingFit(slope=float(slope), intercept=float(intercept), r_squared=r2)
 
 
 def upper_bound_witness(

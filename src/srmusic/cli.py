@@ -148,6 +148,9 @@ def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
     spec = from_fields(SynthesisSpec, json.loads(Path(args.synthesize).read_text()),
                        name="synthesis spec")
     rng = np.random.default_rng(args.seed)
+    for key in ("support", "M"):
+        if spec.clump_spec is not None and getattr(spec, key) is not None:
+            raise ValueError(f"synthesis spec sets both 'clump_spec' and '{key}'")
     if spec.clump_spec is not None:
         support, _ = generate_clumps(spec.clump_spec, seed=rng)
         M = spec.clump_spec.M

@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from srmusic.bounds import (
-    ClumpBoundTerms,
     fit_clump_constants,
     fit_scaling_exponent,
     lower_bound_value,
@@ -289,36 +288,9 @@ def _map_cells(fn: Callable, cells: list, jobs: int) -> list:
         return list(pool.map(fn, cells))
 
 
-def _fit_terms_for_spec(config: ExperimentConfig) -> ClumpBoundTerms:
-    """Calibrate one lower-bound constant per clump of the config's spec.
-
-    Constants depend on (clump size, M) only, so they are fitted once per
-    distinct size from single-clump probes over the config's alpha range.
-    """
-    spec = config.clump_spec
-    by_size: dict[int, float] = {}
-    for lam in set(spec.clump_sizes):
-        probe = ClumpSpec(
-            num_clumps=1,
-            clump_sizes=(lam,),
-            alpha=spec.alpha,
-            beta=spec.beta,
-            M=spec.M,
-            anchors=(0.0,),
-        )
-        fitted = fit_clump_constants(probe, config.alphas, allow_small_m=True)
-        by_size[lam] = fitted.constants[0]
-    return ClumpBoundTerms(
-        constants=tuple(by_size[lam] for lam in spec.clump_sizes),
-        clump_sizes=spec.clump_sizes,
-        alpha=spec.alpha,
-        M=spec.M,
-    )
-
-
 def _sigma_min_sweep(config: ExperimentConfig) -> Callable[..., dict]:
     spec = config.clump_spec
-    terms = _fit_terms_for_spec(config)
+    terms = fit_clump_constants(spec, config.alphas, allow_small_m=True)
 
     def trial(alpha, sigma, seed):
         support, partition = generate_clumps(replace(spec, alpha=alpha), seed=seed)
@@ -395,22 +367,20 @@ def _perturbation_check(config: ExperimentConfig) -> Callable[..., dict]:
         u_clean = svd_split(hankel(y0, L), S).signal_space
         u_noisy = svd_split(hankel(y0 + eta, L), S).signal_space
         sup = correlation_sup_diff(u_clean, u_noisy, N)
-        report = wedin_bound(
-            hankel_noise_norm=spectral_norm(hankel(eta, L)),
-            x_min=float(np.min(np.abs(x))),
-            sigma_min_L=sigma_min(vandermonde(support, L)),
-            sigma_min_ML=sigma_min(vandermonde(support, M - L)),
-            sup_norm_diff=sup,
-        )
+        noise_norm = spectral_norm(hankel(eta, L))
+        x_min = float(np.min(np.abs(x)))
+        sigma_min_L = sigma_min(vandermonde(support, L))
+        sigma_min_ML = sigma_min(vandermonde(support, M - L))
+        bound, precondition_ok = wedin_bound(noise_norm, x_min, sigma_min_L, sigma_min_ML)
         return {
-            "hankel_noise_norm": report.hankel_noise_norm,
-            "sigma_min_L": report.sigma_min_L,
-            "sigma_min_ML": report.sigma_min_ML,
-            "x_min": report.x_min,
+            "hankel_noise_norm": noise_norm,
+            "sigma_min_L": sigma_min_L,
+            "sigma_min_ML": sigma_min_ML,
+            "x_min": x_min,
             "sup_diff": sup,
-            "wedin_bound": report.wedin_bound,
-            "precondition_ok": report.precondition_ok,
-            "success": (not report.precondition_ok) or sup <= report.wedin_bound,
+            "wedin_bound": bound,
+            "precondition_ok": precondition_ok,
+            "success": (not precondition_ok) or sup <= bound,
         }
 
     return trial

@@ -110,24 +110,6 @@ class MusicEstimate:
         )
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
-    """Ingredients and verdict of the Wedin-type stability bound.
-
-    precondition_ok is exactly 2*hankel_noise_norm < x_min * sigma_min_L *
-    sigma_min_ML; the bound value is reported either way. sup_norm_diff is
-    a grid approximation of the true sup and is NaN when not measured.
-    """
-
-    sup_norm_diff: float
-    wedin_bound: float
-    precondition_ok: bool
-    hankel_noise_norm: float
-    sigma_min_L: float
-    sigma_min_ML: float
-    x_min: float
-
-
 def noise_correlation(U: np.ndarray, omega) -> float | np.ndarray:
     """Noise-space correlation R from the signal space U_S.
 
@@ -415,28 +397,20 @@ def wedin_bound(
     x_min: float,
     sigma_min_L: float,
     sigma_min_ML: float,
-    sup_norm_diff: float = math.nan,
-) -> PerturbationReport:
+) -> tuple[float, bool]:
     """Wedin-type bound 2||H(eta)|| / (x_min sigma_min(Phi_L) sigma_min(Phi_{M-L})).
 
-    The precondition is that the bound value is below 1 in the sense
-    2||H(eta)|| < x_min * sigma_min_L * sigma_min_ML; when it fails the
-    bound is still reported, flagged as outside its validity regime.
+    Returns (bound, precondition_ok). The precondition is that the bound is
+    below 1, tested as 2||H(eta)|| < x_min * sigma_min_L * sigma_min_ML
+    (not as bound < 1, which rounding can flip); when it fails the bound is
+    still returned, flagged as outside its validity regime.
     """
     if x_min <= 0 or sigma_min_L <= 0 or sigma_min_ML <= 0:
         raise ValueError("x_min and the sigma_min factors must be positive")
     if hankel_noise_norm < 0:
         raise ValueError("hankel_noise_norm must be nonnegative")
     denom = x_min * sigma_min_L * sigma_min_ML
-    return PerturbationReport(
-        sup_norm_diff=sup_norm_diff,
-        wedin_bound=2.0 * hankel_noise_norm / denom,
-        precondition_ok=2.0 * hankel_noise_norm < denom,
-        hankel_noise_norm=hankel_noise_norm,
-        sigma_min_L=sigma_min_L,
-        sigma_min_ML=sigma_min_ML,
-        x_min=x_min,
-    )
+    return 2.0 * hankel_noise_norm / denom, 2.0 * hankel_noise_norm < denom
 
 
 def match_supports(truth: SupportSet, estimate: SupportSet) -> float:

@@ -204,16 +204,15 @@ def test_criterion_7_wedin_bound_never_violated():
             svd_split(hankel(y0 + eta, L), S).signal_space,
             16 * M,
         )
-        report = wedin_bound(
+        bound, precondition_ok = wedin_bound(
             hankel_noise_norm=spectral_norm(hankel(eta, L)),
             x_min=1.0,
             sigma_min_L=sigma_min(vandermonde(support, L)),
             sigma_min_ML=sigma_min(vandermonde(support, M - L)),
-            sup_norm_diff=sup,
         )
-        if report.precondition_ok:
+        if precondition_ok:
             ok_count += 1
-            if sup > report.wedin_bound:
+            if sup > bound:
                 violations += 1
     passed = ok_count >= 0.8 * trials and violations == 0
     assert verdict(

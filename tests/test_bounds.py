@@ -89,10 +89,24 @@ class TestFitClumpConstants:
         large = fit_clump_constants(spec, SWEEP_ALPHAS)
         assert large.constants[0] >= small.constants[0]
 
+    def test_one_constant_per_clump(self):
+        # A constant depends on (size, M) only: each clump of a multi-clump
+        # spec gets the constant of a single clump of its size.
+        M = 1000
+        spec = ClumpSpec(3, (2, 3, 2), alpha=0.35, beta=10.0, M=M)
+        terms = fit_clump_constants(spec, SWEEP_ALPHAS[1:])
+        single = {
+            lam: fit_clump_constants(ClumpSpec(1, (lam,), alpha=0.35, beta=1.0, M=M),
+                                     SWEEP_ALPHAS[1:]).constants[0]
+            for lam in (2, 3)
+        }
+        assert terms.constants == (single[2], single[3], single[2])
+        assert terms.clump_sizes == (2, 3, 2)
+        assert (terms.alpha, terms.M) == (0.35, M)
+        expected = max(math.sqrt(M) * a**2 / clump_sigma_min(3, a, M) for a in SWEEP_ALPHAS[1:])
+        assert single[3] == pytest.approx(expected, rel=1e-12)
+
     def test_needs_single_clump_and_samples(self):
-        spec2 = ClumpSpec(2, (1, 1), alpha=0.5, beta=1.0, M=100)
-        with pytest.raises(ValueError):
-            fit_clump_constants(spec2, SWEEP_ALPHAS)
         spec = ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=100)
         with pytest.raises(FitError):
             fit_clump_constants(spec, (0.5, 0.25, 0.1))

@@ -168,7 +168,13 @@ class TestMusic:
          "SupportSet key 'points' must be tuple[float, ...], got 0.2"),
         ({"sigma": "0.01"}, "synthesis spec key 'sigma' must be float, got '0.01'"),
         ({"support": "x"}, "SupportSet must be a JSON object, got 'x'"),
-    ], ids=["M-string", "points-number", "sigma-string", "support-string"])
+        ({"clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
+         "synthesis spec sets both 'clump_spec' and 'support'"),
+        ({"clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=100)),
+          "support": None},
+         "synthesis spec sets both 'clump_spec' and 'M'"),
+    ], ids=["M-string", "points-number", "sigma-string", "support-string",
+            "clump-spec-and-support", "clump-spec-and-M"])
     def test_wrong_synthesis_type_exit_one(self, tmp_path, capsys, change, message):
         spec = {"support": {"points": [0.2, 0.7]}, "M": 100, "sigma": 0.0, **change}
         path = tmp_path / "synth.json"

@@ -204,7 +204,7 @@ def count_calls(H, method):
     """Count calls of one HankelOperator method; returns a function reading the count."""
     calls = []
     apply = getattr(H, method)
-    setattr(H, method, lambda x: calls.append(1) or apply(x))
+    setattr(H, method, lambda *args: calls.append(1) or apply(*args))
     return lambda: len(calls)
 
 
@@ -213,21 +213,23 @@ OPERATOR_SHAPES = [(800, 400), (800, 410), (800, 390)]
 
 
 def assert_split_matches_dense(H, S):
-    """svd_split of an operator against the dense split of the formed matrix.
+    """svd_split of an operator against the dense SVD of the formed matrix.
 
-    Returns whether Golub-Kahan answered (it keeps S+1 singular values); a
+    Returns whether Golub-Kahan answered (the split never formed H); a
     dense fallback must give the dense split bit for bit.
     """
-    split, dense = svd_split(H, S), svd_split(H.toarray(), S)
-    if len(split.singular_values) == len(dense.singular_values):
-        assert np.array_equal(split.signal_space, dense.signal_space)
-        assert np.array_equal(split.singular_values, dense.singular_values)
-        return False
+    formed = count_calls(H, "toarray")
+    split = svd_split(H, S)
+    iterated = formed() == 0
+    u, s, _ = fourier._dense_svd(H.toarray(), compute_uv=True)
     assert len(split.singular_values) == S + 1
-    u, v = split.signal_space, dense.signal_space
-    assert np.abs(u @ u.conj().T - v @ v.conj().T).max() <= 1e-10
-    np.testing.assert_allclose(split.singular_values[:S], dense.singular_values[:S],
-                               rtol=1e-12, atol=0)
+    if not iterated:
+        assert np.array_equal(split.signal_space, u[:, :S])
+        assert np.array_equal(split.singular_values, s[: S + 1])
+        return False
+    v = split.signal_space
+    assert np.abs(v @ v.conj().T - u[:, :S] @ u[:, :S].conj().T).max() <= 1e-10
+    np.testing.assert_allclose(split.singular_values[:S], s[:S], rtol=1e-12, atol=0)
     return True
 
 
@@ -394,8 +396,8 @@ class TestLanczosPath:
         assert out.strip() == "[]"
 
 
-class TestSubspaceIteration:
-    """svd_split of a HankelOperator: when it iterates and when it goes dense."""
+class TestGolubKahanSplit:
+    """svd_split of a HankelOperator: when Golub-Kahan answers and when it goes dense."""
 
     @pytest.mark.parametrize("M, L", OPERATOR_SHAPES)
     @pytest.mark.parametrize("real", [False, True])
@@ -430,16 +432,25 @@ class TestSubspaceIteration:
         with pytest.raises(RankDeficientError, match="above the numerical rank of the 401x401"):
             music_estimate(y, S=3)
 
-    @pytest.mark.parametrize("S", [92, 93])
-    def test_repeated_singular_values(self, S):
+    @pytest.mark.parametrize("S, iterated", [(23, False), (24, True)])
+    def test_repeated_singular_values(self, S, iterated):
         # S evenly spaced unit sources: the S nonzero singular values of H
-        # take three distinct values (460, 411.4 and 368 at S = 92). A
-        # single-vector Krylov space misses copies of them; at S = 92 it
-        # accepts a Ritz value of 5e-11 in place of sigma_92 = 368, and the
-        # gap and rank tests send the split to the dense SVD.
+        # take two or three distinct values (414, 402.3 and 391 at S = 23).
+        # A single-vector Krylov space can miss copies of them; at S = 23 it
+        # accepts a Ritz value of 2e-11 in place of sigma_23 = 391, and the
+        # gap and rank tests send the split to the dense SVD. At S = 24 it
+        # holds every copy of 408 and 395.8, and the split iterates.
         M, L = 800, 400
         y = vandermonde(SupportSet(np.arange(S) / S + 0.3 / S), M) @ np.ones(S)
-        assert_split_matches_dense(hankel(y, L), S)
+        assert assert_split_matches_dense(hankel(y, L), S) == iterated
+
+    def test_large_share_goes_dense_at_once(self):
+        # S = 100 of a 401x401 side, with no gap: no Golub-Kahan step, then
+        # the dense split bit for bit.
+        H = hankel(draw_noise(np.random.default_rng(4), 1.0, "complex-circular", 800), 400)
+        steps = count_calls(H, "rmatvec")
+        assert not assert_split_matches_dense(H, 100)
+        assert steps() == 0
 
     def test_no_gap_step_count(self):
         # Four clumps of two sources 1/(1.25-1.75 M) apart (the layout of the

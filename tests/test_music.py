@@ -595,19 +595,19 @@ class TestCorrelationSupDiff:
 
 class TestWedinBound:
     def test_zero_noise(self):
-        report = wedin_bound(0.0, 1.0, 2.0, 3.0)
-        assert report.wedin_bound == 0.0
-        assert report.precondition_ok
+        bound, precondition_ok = wedin_bound(0.0, 1.0, 2.0, 3.0)
+        assert bound == 0.0
+        assert precondition_ok
 
     def test_direct_values(self):
-        report = wedin_bound(1.0, 1.0, 2.0, 2.0)
-        assert report.precondition_ok  # 2 < 4
-        assert report.wedin_bound == pytest.approx(0.5)
+        bound, precondition_ok = wedin_bound(1.0, 1.0, 2.0, 2.0)
+        assert precondition_ok  # 2 < 4
+        assert bound == pytest.approx(0.5)
 
     def test_guard_semantics(self):
-        report = wedin_bound(2.0, 1.0, 1.0, 1.0)
-        assert not report.precondition_ok  # 4 < 1 fails
-        assert report.wedin_bound == pytest.approx(4.0)
+        bound, precondition_ok = wedin_bound(2.0, 1.0, 1.0, 1.0)
+        assert not precondition_ok  # 4 < 1 fails
+        assert bound == pytest.approx(4.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -628,7 +628,7 @@ class TestWedinBound:
         sup = correlation_sup_diff(
             signal_space(y0, S, L), signal_space(y0 + eta, S, L), 8 * M
         )
-        report = wedin_bound(
+        bound, precondition_ok = wedin_bound(
             hankel_noise_norm=spectral_norm(hankel(eta, L)),
             x_min=float(np.min(np.abs(x))),
             sigma_min_L=float(
@@ -637,10 +637,9 @@ class TestWedinBound:
             sigma_min_ML=float(
                 np.linalg.svd(vandermonde(support, M - L), compute_uv=False).min()
             ),
-            sup_norm_diff=sup,
         )
-        if report.precondition_ok:
-            assert sup <= report.wedin_bound
+        if precondition_ok:
+            assert sup <= bound
 
 
 class TestMatchSupports:
