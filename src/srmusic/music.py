@@ -4,9 +4,10 @@ The estimator Hankelizes the measurements, splits the left singular
 subspace at rank S, scans the imaging function J = 1/R on a uniform grid,
 resamples the hills of its S largest circular local maxima more finely so
 that peaks merged on the grid come apart, and returns the S largest of the
-resulting maxima, optionally polished by Newton's method. A
-perturbation report compares the observed sup-norm change of R against the
-Wedin-type bound.
+resulting maxima, optionally polished by Newton's method.
+correlation_sup_diff measures the sup-norm change of R under noise, and
+wedin_bound returns the Wedin-type bound on it with its precondition, as
+(bound, precondition_ok).
 
 R is evaluated from the signal space U_S alone; no noise basis W is
 formed. [U_S | W] is unitary, so R(omega)^2 = 1 - ||U_S* phi_L(omega)||^2
@@ -24,14 +25,15 @@ derivatives of E = ||U_S* phi_L||^2, which do not cancel.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from srmusic.csvtext import write_csv
 from srmusic.fourier import hankel, svd_split
 from srmusic.torus import SupportSet
 
@@ -82,9 +84,7 @@ class ImagingGrid:
 
     def save_csv(self, path) -> None:
         """CSV omega,R,J of repr floats with CRLF line ends, as csv.writer writes it."""
-        cols = np.stack([self.nodes, self.values_R, self.values_J])
-        rows = "".join(map("{!r},{!r},{!r}\r\n".format, *cols.tolist()))
-        Path(path).write_text("omega,R,J\r\n" + rows, newline="")
+        write_csv(path, "omega,R,J", [self.nodes, self.values_R, self.values_J])
 
 
 @dataclass(frozen=True)
@@ -440,32 +440,38 @@ def save_measurements(y: np.ndarray, path) -> None:
     """Write measurements as rows of (index, re, im); format by extension."""
     y = np.asarray(y, dtype=complex)
     path = Path(path)
-    rows = [[i, float(v.real), float(v.imag)] for i, v in enumerate(y)]
     if path.suffix == ".json":
+        rows = [[i, float(v.real), float(v.imag)] for i, v in enumerate(y)]
         path.write_text(json.dumps(rows) + "\n")
     else:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            for i, re, im in rows:
-                writer.writerow([i, repr(re), repr(im)])
+        write_csv(path, "index,re,im", [np.arange(len(y)), y.real, y.imag])
+
+
+_MEASUREMENT_ROW = np.dtype([("index", np.int64), ("re", float), ("im", float)])
 
 
 def load_measurements(path) -> np.ndarray:
-    """Read measurements written by save_measurements (CSV or JSON)."""
+    """Read measurements written by save_measurements (CSV or JSON).
+
+    A file without rows, or a CSV row without exactly three fields, is a
+    ValueError, as are gaps in the indices and non-finite values.
+    """
     path = Path(path)
     if path.suffix == ".json":
-        rows = json.loads(path.read_text())
+        rows = [(int(i), float(re), float(im)) for i, re, im in json.loads(path.read_text())]
+        table = np.array(rows, dtype=_MEASUREMENT_ROW)
     else:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[int(r[0]), float(r[1]), float(r[2])] for r in reader]
-    rows = sorted(rows, key=lambda r: r[0])
-    indices = [int(r[0]) for r in rows]
-    if indices != list(range(len(rows))):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            table = np.loadtxt(path, dtype=_MEASUREMENT_ROW, delimiter=",", skiprows=1,
+                               ndmin=1, comments=None, quotechar='"')
+    if len(table) == 0:
+        raise ValueError(f"no measurements in {path}")
+    table = table[np.argsort(table["index"], kind="stable")]
+    if not np.array_equal(table["index"], np.arange(len(table))):
         raise ValueError("measurement indices must be 0..M without gaps")
-    y = np.array([complex(r[1], r[2]) for r in rows])
+    y = np.empty(len(table), dtype=complex)
+    y.real, y.imag = table["re"], table["im"]
     bad = np.flatnonzero(~np.isfinite(y))
     if len(bad):
         raise ValueError(f"measurement {int(bad[0])} is not finite: {y[bad[0]]}")

@@ -1,3 +1,4 @@
+import csv
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -7,7 +8,7 @@ import pytest
 
 from srmusic.cli import CAMPAIGN_COMMANDS, main
 from srmusic.harness import ExperimentConfig
-from srmusic.music import save_measurements
+from srmusic.music import load_measurements, save_measurements
 from srmusic.torus import ClumpSpec, SupportSet, from_fields
 from srmusic.fourier import vandermonde
 
@@ -113,6 +114,21 @@ class TestMusic:
         assert len(grid_lines) == 1601
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["options"]["grid"] == 1600
+
+    def test_measurements_csv_matches_csv_writer(self, tmp_path, two_point_synth):
+        # The loop it replaced: csv.writer rows of the index and repr floats.
+        out = tmp_path / "run"
+        assert main(["music", "--synthesize", str(two_point_synth), "--sigma", "0.3",
+                     "--out", str(out)]) == 0
+        y = load_measurements(out / "measurements.csv")
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "re", "im"])
+            for i, v in enumerate(y):
+                writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+        written = (out / "measurements.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b",-") > 50  # negative values on both columns
 
     def test_from_measurements_file(self, tmp_path):
         support = SupportSet([0.3, 0.8])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from srmusic.csvtext import CSV_CHUNK_ROWS
 from srmusic.fourier import hankel, spectral_norm, svd_split, vandermonde
 from srmusic import music as music_module
 from srmusic.music import (
@@ -556,6 +557,20 @@ class TestMusicEstimate:
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert b",0.0,inf\r\n" in written
 
+    def test_grid_csv_across_chunks(self, tmp_path):
+        # Rows are written CSV_CHUNK_ROWS at a time; the seams must not show.
+        N = 2 * CSV_CHUNK_ROWS + 3
+        values_r = np.random.default_rng(5).uniform(size=N)
+        values_r[[0, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS]] = 0.0
+        with np.errstate(divide="ignore"):
+            grid = ImagingGrid(N, values_r, 1.0 / values_r)
+        grid.save_csv(tmp_path / "grid.csv")
+        reference = ["omega,R,J\r\n"] + [
+            f"{w!r},{r!r},{j!r}\r\n"
+            for w, r, j in zip(grid.nodes.tolist(), values_r.tolist(), grid.values_J.tolist())
+        ]
+        assert (tmp_path / "grid.csv").read_bytes() == "".join(reference).encode()
+
 
 class TestCorrelationSupDiff:
     def test_identity_zero(self):
@@ -729,3 +744,16 @@ class TestMeasurementIO:
         path.write_text("index,re,im\n0,1.0,0.0\n2,0.5,0.0\n")
         with pytest.raises(ValueError, match="gaps"):
             load_measurements(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no measurements"),
+        ("index,re,im\r\n", "no measurements"),
+        ("index,re,im\r\n0,1.0,0.0\r\n1,0.5\r\n", "requires 3 columns but 2 were found"),
+        ("index,re,im\r\n0,1.0,0.0,7\r\n", "requires 3 columns but 4 were found"),
+    ], ids=["empty", "header-only", "short-row", "long-row"])
+    def test_rejects_malformed_csv(self, tmp_path, text, message):
+        path = tmp_path / "y.csv"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError, match=message):
+            load_measurements(path)
+
