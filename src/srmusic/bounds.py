@@ -18,11 +18,15 @@ from srmusic.fourier import sigma_min, vandermonde
 from srmusic.torus import ClumpSpec, SupportSet, torus_distance
 
 
+# Random filler candidates upper_bound_witness draws before it gives up.
+FILLER_TRIES = 10_000
+
+
 class FitError(ValueError):
     """Not enough (or degenerate) samples for a calibration fit."""
 
 
-class FillerPlacementError(RuntimeError):
+class FillerPlacementError(ValueError):
     """Could not place well-separated filler points for a witness set."""
 
 
@@ -61,19 +65,7 @@ def lower_bound_value(terms: ClumpBoundTerms) -> float:
     return math.sqrt(terms.M) / math.sqrt(acc)
 
 
-def require_aspect(M: int, S: int, allow_small_m: bool = False) -> None:
-    """Enforce the tall-matrix hypothesis M >= S^2 behind the lower bound."""
-    if M < S * S and not allow_small_m:
-        raise ValueError(
-            f"M = {M} below S^2 = {S * S}; pass allow_small_m=True for exploratory runs"
-        )
-
-
-def fit_clump_constants(
-    spec: ClumpSpec,
-    alphas: Sequence[float],
-    allow_small_m: bool = False,
-) -> ClumpBoundTerms:
+def fit_clump_constants(spec: ClumpSpec, alphas: Sequence[float]) -> ClumpBoundTerms:
     """Calibrate one lower-bound constant per clump of a spec against exact SVD.
 
     A constant depends on (clump size, M) only, so it is fitted once per
@@ -85,7 +77,6 @@ def fit_clump_constants(
     """
     if len(alphas) < 4:
         raise FitError(f"need at least 4 alphas to calibrate, got {len(alphas)}")
-    require_aspect(spec.M, spec.total_points, allow_small_m)
     by_size = {}
     for lam in set(spec.clump_sizes):
         ratios = []
@@ -151,7 +142,6 @@ def upper_bound_witness(
     S: int,
     omega0: float,
     filler_seed,
-    max_tries: int = 10_000,
 ) -> tuple[SupportSet, float]:
     """Support set showing the alpha^(lam-1) ceiling: a tight cluster plus fillers.
 
@@ -177,9 +167,9 @@ def upper_bound_witness(
     fillers: list[float] = []
     tries = 0
     while len(fillers) < S - lam:
-        if tries >= max_tries:
+        if tries >= FILLER_TRIES:
             raise FillerPlacementError(
-                f"placed {len(fillers)} of {S - lam} fillers in {max_tries} tries; "
+                f"placed {len(fillers)} of {S - lam} fillers in {FILLER_TRIES} tries; "
                 f"2/M spacing at M = {M} leaves no room"
             )
         tries += 1

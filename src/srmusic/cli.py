@@ -136,7 +136,7 @@ def _cmd_sigma_min(args) -> int:
     _write_manifest(
         out,
         "sigma-min",
-        {"support": str(args.support), "M": args.M, "seed": args.seed, "out": str(out)},
+        {"support": str(args.support), "M": args.M, "out": str(out)},
         ["sigma_min.json"],
     )
     print(f"sigma_min = {value!r} (M = {args.M}, S = {support.size})")
@@ -283,7 +283,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sigma-min", help="exact smallest singular value of the Fourier matrix")
     p.add_argument("--support", required=True, help="support JSON file with a 'points' list")
     p.add_argument("--M", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/sigma-min")
     p.set_defaults(func=_cmd_sigma_min)
 
@@ -291,7 +290,6 @@ def build_parser() -> _Parser:
     p.add_argument("--input", help="measurements file (CSV or JSON rows of index,re,im)")
     p.add_argument("--synthesize", help="synthesis spec JSON (support or clump_spec)")
     p.add_argument("--S", type=int, help="number of sources (required with --input)")
-    p.add_argument("--M", type=int, help="ignored; M comes from the measurement length")
     p.add_argument("--L", type=int, help="Hankel split (default floor(M/2))")
     p.add_argument("--grid", type=int, help="imaging grid resolution (default 16*M)")
     p.add_argument("--sigma", type=float, help="noise level override when synthesizing")

@@ -172,6 +172,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"ExperimentConfig must be a JSON object, got {d!r}")
         d = dict(d)
         schema = d.pop("schema", CONFIG_SCHEMA)
         if schema != CONFIG_SCHEMA:
@@ -186,7 +188,7 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         d = json.loads(Path(path).read_text())
-        if "config" in d and "kind" not in d:
+        if isinstance(d, dict) and "config" in d and "kind" not in d:
             d = d["config"]  # a manifest embeds the config it ran
         return cls.from_dict(d)
 
@@ -201,8 +203,6 @@ class ExperimentRecord:
     written blank.
     """
 
-    kind: str
-    config_hash: str
     alpha: float | None
     sigma: float | None
     trial: int
@@ -246,7 +246,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
     (ia, isig, t) draws from the seed (base_seed, ia, isig, t).
     """
     kind = CAMPAIGN_KINDS[config.kind]
-    chash = config.config_hash()
     trial = kind.prepare(config)
     swept_alpha = "alphas" in kind.axes
     swept_sigma = "sigmas" in kind.axes
@@ -257,8 +256,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
         alpha = config.alphas[ia] if swept_alpha else spec_alpha
         sigma = config.sigmas[isig] if swept_sigma else None
         seed = (config.base_seed, ia, isig, t)
-        record = ExperimentRecord(config.kind, chash, alpha, sigma, t,
-                                  "-".join(str(v) for v in seed))
+        record = ExperimentRecord(alpha, sigma, t, "-".join(str(v) for v in seed))
         t0 = time.perf_counter()
         try:
             record.values = trial(alpha, sigma, seed)
@@ -290,7 +288,7 @@ def _map_cells(fn: Callable, cells: list, jobs: int) -> list:
 
 def _sigma_min_sweep(config: ExperimentConfig) -> Callable[..., dict]:
     spec = config.clump_spec
-    terms = fit_clump_constants(spec, config.alphas, allow_small_m=True)
+    terms = fit_clump_constants(spec, config.alphas)
 
     def trial(alpha, sigma, seed):
         support, partition = generate_clumps(replace(spec, alpha=alpha), seed=seed)
@@ -421,6 +419,14 @@ def _phase_transition(config: ExperimentConfig) -> Callable[..., dict]:
     return trial
 
 
+def _cells(records: Sequence[ExperimentRecord], key: Callable) -> dict[object, list]:
+    """Records grouped by key(record); groups and their members in first-seen order."""
+    cells: dict[object, list] = {}
+    for r in records:
+        cells.setdefault(key(r), []).append(r)
+    return cells
+
+
 @dataclass(frozen=True)
 class PhaseTransitionSummary:
     """Success frequencies over the (SRF, sigma/x_min) grid.
@@ -443,34 +449,22 @@ def phase_transition_summary(
     """Aggregate phase-transition records into the success-probability table."""
     if not records:
         raise ValueError("no phase-transition records to summarize")
-    alphas = sorted({r.alpha for r in records})
-    sigmas = sorted({r.sigma for r in records})
-    srfs = [1.0 / a for a in alphas]
-    counts = {(a, s): [0, 0] for a in alphas for s in sigmas}
-    for r in records:
-        entry = counts[(r.alpha, r.sigma)]
-        entry[0] += 1
-        entry[1] += 1 if r.values["success"] else 0
-    trials = {entry[0] for entry in counts.values()}
-    rates = []
-    for a in alphas:
-        row = []
-        for s in sigmas:
-            total, good = counts[(a, s)]
-            row.append(good / total)
-        rates.append(tuple(row))
-    levels: list[float | None] = []
+    cells = _cells(records, lambda r: (r.alpha, r.sigma))
+    alphas = sorted({a for a, _ in cells}, reverse=True)  # increasing SRF
+    sigmas = sorted({s for _, s in cells})
+    success = {key: sum(bool(r.values["success"]) for r in cell) / len(cell)
+               for key, cell in cells.items()}
+    rates = [tuple(success[(a, s)] for s in sigmas) for a in alphas]
+    levels = []
     for row in rates:
         ok = [s for s, rate in zip(sigmas, row) if rate >= 0.9]
         levels.append(max(ok) / nominal_x_min if ok else None)
-    # Sort columns by decreasing alpha = increasing SRF for readability.
-    order = np.argsort(srfs)
     return PhaseTransitionSummary(
-        srf=tuple(srfs[i] for i in order),
+        srf=tuple(1.0 / a for a in alphas),
         sigma_over_xmin=tuple(s / nominal_x_min for s in sigmas),
-        success_rate=tuple(rates[i] for i in order),
-        trials_per_cell=max(trials),
-        level90=tuple(levels[i] for i in order),
+        success_rate=tuple(rates),
+        trials_per_cell=max(len(cell) for cell in cells.values()),
+        level90=tuple(levels),
     )
 
 
@@ -478,9 +472,10 @@ def concentration_summary(
     records: Sequence[ExperimentRecord], config: ExperimentConfig
 ) -> list[ConcentrationReport]:
     """Per-sigma concentration reports from recorded Hankel noise norms."""
+    cells = _cells(records, lambda r: r.sigma)
     return [
         concentration_report(
-            np.array([r.values["hankel_norm"] for r in records if r.sigma == sigma]),
+            np.array([r.values["hankel_norm"] for r in cells[sigma]]),
             sigma, config.M, config.L, config.noise_kind,
         )
         for sigma in config.sigmas
@@ -488,14 +483,12 @@ def concentration_summary(
 
 
 def _sweep_summary(records: Sequence[ExperimentRecord], config: ExperimentConfig) -> dict:
-    per_alpha: dict[float, list[float]] = {}
-    for r in records:
-        per_alpha.setdefault(r.alpha, []).append(r.values["sigma_min_exact"])
-    pairs = sorted(
-        ((a, float(np.exp(np.mean(np.log(v))))) for a, v in per_alpha.items()),
-        key=lambda t: -t[0],
-    )
-    out = {"per_alpha_geomean_sigma_min": [[a, s] for a, s in pairs]}
+    cells = _cells(records, lambda r: r.alpha)
+    pairs = [
+        [a, float(np.exp(np.mean(np.log([r.values["sigma_min_exact"] for r in cells[a]]))))]
+        for a in sorted(cells, reverse=True)
+    ]
+    out = {"per_alpha_geomean_sigma_min": pairs}
     if len(pairs) >= 4:
         fit = fit_scaling_exponent(pairs)
         out.update(slope=fit.slope, r_squared=fit.r_squared, reliable=fit.reliable)
@@ -584,30 +577,6 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
 }
 
 
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return v
-
-
-def records_to_csv(records: Sequence[ExperimentRecord], kind: str, path) -> None:
-    """Write trial records under the kind's columns; wall time is deliberately
-    excluded so identical reruns produce byte-identical files."""
-    columns = CAMPAIGN_KINDS[kind].columns
-    with open(Path(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in records:
-            writer.writerow([
-                _fmt(r.values[col] if col in r.values else getattr(r, col, None))
-                for col in columns
-            ])
-
-
 def save_records(
     records: Sequence[ExperimentRecord],
     config: ExperimentConfig,
@@ -615,13 +584,23 @@ def save_records(
 ) -> dict:
     """Persist a campaign under <out_dir>/<config-hash>/: CSV plus JSON summary.
 
-    Returns the written paths keyed by role.
+    The CSV holds the kind's columns; csv.writer writes a float as its repr
+    and None as a blank field. Wall time is deliberately excluded so
+    identical reruns produce byte-identical files. Returns the written
+    paths keyed by role.
     """
-    chash = config.config_hash()
-    dest = Path(out_dir) / chash
+    dest = Path(out_dir) / config.config_hash()
     dest.mkdir(parents=True, exist_ok=True)
     csv_path = dest / f"{config.kind}.csv"
-    records_to_csv(records, config.kind, csv_path)
+    columns = CAMPAIGN_KINDS[config.kind].columns
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for r in records:
+            row = (r.values[col] if col in r.values else getattr(r, col, None)
+                   for col in columns)
+            writer.writerow([("true" if v else "false") if isinstance(v, bool) else v
+                             for v in row])
     summary = summarize(records, config)
     summary_path = dest / f"{config.kind}_summary.json"
     summary_path.write_text(json.dumps(summary, indent=2) + "\n")

@@ -450,16 +450,27 @@ def save_measurements(y: np.ndarray, path) -> None:
 _MEASUREMENT_ROW = np.dtype([("index", np.int64), ("re", float), ("im", float)])
 
 
+def _is_measurement_row(row) -> bool:
+    """A decoded JSON row [index, re, im]: an int64 integer, then two numbers (no bools)."""
+    return (isinstance(row, list) and len(row) == 3
+            and type(row[0]) is int and abs(row[0]) < 2**63
+            and all(type(v) in (int, float) for v in row[1:]))
+
+
 def load_measurements(path) -> np.ndarray:
     """Read measurements written by save_measurements (CSV or JSON).
 
-    A file without rows, or a CSV row without exactly three fields, is a
-    ValueError, as are gaps in the indices and non-finite values.
+    A file without rows, a row that is not three numbers (an integer index,
+    then re and im), gaps in the indices and non-finite values are each a
+    ValueError.
     """
     path = Path(path)
     if path.suffix == ".json":
-        rows = [(int(i), float(re), float(im)) for i, re, im in json.loads(path.read_text())]
-        table = np.array(rows, dtype=_MEASUREMENT_ROW)
+        rows = json.loads(path.read_text())
+        if not (isinstance(rows, list) and all(map(_is_measurement_row, rows))):
+            raise ValueError(f"{path}: JSON measurements must be a list of "
+                             f"[index, re, im] rows of numbers")
+        table = np.array([tuple(row) for row in rows], dtype=_MEASUREMENT_ROW)
     else:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")

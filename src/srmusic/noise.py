@@ -19,6 +19,8 @@ from srmusic.fourier import hankel, spectral_norm
 NOISE_KINDS = ("complex-circular", "real")
 # The tail probability is measured at t = TAIL_FACTOR * expectation_bound.
 TAIL_FACTOR = 1.2
+# Two-sided 95% normal quantile for wilson_interval.
+WILSON_Z = 1.959964
 
 
 class ThresholdPreconditionError(ValueError):
@@ -116,15 +118,15 @@ def noise_threshold(
     return c_m_nu / agg * epsilon
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
+    half = WILSON_Z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 

@@ -290,18 +290,15 @@ def validate_clumps(
             )
 
     if len(clumps) > 1:
-        for i in range(len(clumps)):
-            for j in range(i + 1, len(clumps)):
-                dist = min(
-                    torus_distance(pts[p], pts[q])
-                    for p in clumps[i]
-                    for q in clumps[j]
-                )
-                if dist < (beta / M) * (1.0 - GEOM_RTOL):
-                    raise InterClumpGapViolation(
-                        f"clumps {i} and {j} are {dist:.6g} apart, "
-                        f"below beta/M = {beta / M:.6g}"
-                    )
+        # Clumps are contiguous arcs, so the closest pair of clumps is the
+        # smallest gap after a clump's last point.
+        gaps = _circular_gaps(pts)[[c[-1] for c in clumps]]
+        i = int(np.argmin(gaps))
+        if gaps[i] < (beta / M) * (1.0 - GEOM_RTOL):
+            raise InterClumpGapViolation(
+                f"clumps {i} and {(i + 1) % len(clumps)} are {gaps[i]:.6g} apart, "
+                f"below beta/M = {beta / M:.6g}"
+            )
 
     return ClumpPartition(clumps=clumps, M=M, S=S, alpha=alpha, beta=beta)
 

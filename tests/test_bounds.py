@@ -10,7 +10,6 @@ from srmusic.bounds import (
     fit_clump_constants,
     fit_scaling_exponent,
     lower_bound_value,
-    require_aspect,
     upper_bound_witness,
 )
 from srmusic.fourier import sigma_min, vandermonde
@@ -110,11 +109,6 @@ class TestFitClumpConstants:
         spec = ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=100)
         with pytest.raises(FitError):
             fit_clump_constants(spec, (0.5, 0.25, 0.1))
-
-    def test_aspect_guard(self):
-        with pytest.raises(ValueError, match="allow_small_m"):
-            require_aspect(8, 3)
-        require_aspect(8, 3, allow_small_m=True)
 
 
 class TestFitScalingExponent:

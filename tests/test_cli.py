@@ -402,6 +402,13 @@ class TestCampaigns:
         ("phase-transition",
          {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "clump_spec": 5},
          "error: ClumpSpec must be a JSON object, got 5"),
+        ("concentration", [1, 2], "error: ExperimentConfig must be a JSON object, got [1, 2]"),
+        ("concentration", 5, "error: ExperimentConfig must be a JSON object, got 5"),
+        ("concentration", {"config": 5}, "error: ExperimentConfig must be a JSON object, got 5"),
+        ("bounds-sweep",
+         {"kind": "upper-bound-sweep", "alphas": [0.05, 0.04, 0.03, 0.02], "S": 30,
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.05, beta=1.0, M=40))},
+         "error: placed 12 of 28 fillers in 10000 tries"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

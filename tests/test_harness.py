@@ -398,6 +398,20 @@ class TestPerCellFailureIsolation:
         assert all(not r.values["success"] for r in records)
         assert all("LinAlgError" in r.error for r in records)
 
+    def test_failed_row_bytes(self, monkeypatch, tmp_path):
+        import srmusic.harness as harness
+
+        def boom(*args, **kwargs):
+            raise ValueError('bad, "quoted" text')
+
+        monkeypatch.setattr(harness, "music_estimate", boom)
+        config = ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(M=50),
+                                  alphas=(0.5,), sigmas=(0.0,))
+        path = save_records(run_experiment(config), config, tmp_path)["csv"]
+        assert path.read_bytes().split(b"\r\n")[1] == (
+            b'0.5,2.0,0.0,0,0-0-0-0,,false,"ValueError: bad, ""quoted"" text"'
+        )
+
 
 TINY_CONFIGS = {
     "sigma-min-sweep": dict(clump_spec=pair_spec(M=60), alphas=(0.5, 0.35, 0.25, 0.18),

@@ -757,3 +757,15 @@ class TestMeasurementIO:
         with pytest.raises(ValueError, match=message):
             load_measurements(path)
 
+    @pytest.mark.parametrize("text", [
+        "5",
+        "[[0, 1.0, null], [1, 0.5, 0.0]]",
+        "[[0, 1.0, 0.0], [1, 0.5]]",
+        "[[0.5, 1.0, 0.0]]",
+        "[[100000000000000000000000, 1.0, 0.0]]",
+    ], ids=["not-a-list", "null-part", "short-row", "float-index", "huge-index"])
+    def test_rejects_malformed_json(self, tmp_path, text):
+        path = tmp_path / "y.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"\[index, re, im\] rows of numbers"):
+            load_measurements(path)

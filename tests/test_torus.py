@@ -5,7 +5,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from srmusic.torus import (
     ClumpDiameterViolation,
@@ -29,6 +29,16 @@ positions = st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=
 def brute_force_min_separation(points):
     return min(
         torus_distance(a, b) for a, b in itertools.combinations(points, 2)
+    )
+
+
+def brute_force_clump_distance(points, clumps):
+    """Smallest wrap-around distance between points of different clumps."""
+    return min(
+        torus_distance(points[p], points[q])
+        for a, b in itertools.combinations(clumps, 2)
+        for p in a
+        for q in b
     )
 
 
@@ -202,6 +212,20 @@ class TestValidateClumps:
         pts = SupportSet([k * 0.025 for k in range(5)])
         with pytest.raises(ClumpDiameterViolation):
             validate_clumps(pts, M=10, alpha=0.25, beta=1.0)
+
+    @given(st.lists(positions, min_size=2, max_size=12, unique=True),
+           st.integers(min_value=2, max_value=40))
+    def test_gap_check_matches_pairwise_scan(self, points, M):
+        support = SupportSet(points)
+        sep = min_separation(support)
+        assume(sep > 1e-9)
+        alpha = 0.5 * sep * M  # any clump then has alpha*(lam-1) <= 1/2
+        partition = validate_clumps(support, M, alpha, beta=0.0)
+        assume(partition.num_clumps >= 2)
+        dist = brute_force_clump_distance(support.points, partition.clumps)
+        validate_clumps(support, M, alpha, beta=dist * M * (1.0 - 1e-6))
+        with pytest.raises(InterClumpGapViolation, match="apart"):
+            validate_clumps(support, M, alpha, beta=dist * M * (1.0 + 1e-6))
 
     def test_rotation_covariance(self):
         spec = ClumpSpec(2, (2, 3), alpha=0.25, beta=10.0, M=500)
