@@ -130,6 +130,11 @@ class ExperimentConfig:
             raise ValueError("base_seed must be nonnegative")
         if not all(s >= 0 for s in self.sigmas):
             raise ValueError(f"sigmas must be nonnegative, got {list(self.sigmas)}")
+        for name in ("alphas", "sigmas"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} repeats the value {value}")
         if self.noise_kind not in NOISE_KINDS:
             raise ValueError(f"noise_kind must be one of {NOISE_KINDS}, got {self.noise_kind!r}")
         kind = CAMPAIGN_KINDS[self.kind]

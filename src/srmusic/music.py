@@ -10,17 +10,20 @@ wedin_bound returns the Wedin-type bound on it with its precondition, as
 (bound, precondition_ok).
 
 R is evaluated from the signal space U_S alone; no noise basis W is
-formed. [U_S | W] is unitary, so R(omega)^2 = 1 - ||U_S* phi_L(omega)||^2
-/ (L+1) (the MUSIC pseudo-spectrum identity). One zero-padded FFT of the S
-signal columns gives R at every grid node, for the imaging scan and for
-the sup-norm comparison; one Bluestein chirp-z transform of the same
-columns gives R at the fine samples of every resampled hill. That
-difference cancels where R is near zero, so hill samples and compared
-grid nodes where this FFT form is below FFT_R_FLOOR, and the peak values,
-use the residual ||phi_L - U_S U_S* phi_L|| / sqrt(L+1) (noise_correlation),
+formed. [U_S | W] is unitary, so R(omega)^2 = 1 - E(omega)/(L+1), with
+E = ||U_S* phi_L||^2 (the MUSIC pseudo-spectrum identity). E is a real
+trigonometric polynomial of degree L; its coefficients are the diagonal
+sums of the projector U_S U_S* (the root-MUSIC observation), and one FFT
+of the S signal columns gives them. One length-N FFT of those L+1
+coefficients gives R at every grid node, for the imaging scan and for the
+sup-norm comparison; one Bluestein chirp-z row of them per hill gives R at
+the fine samples of every resampled hill. The difference 1 - E/(L+1)
+cancels where R is near zero, so hill samples and compared grid nodes
+where this FFT form is below FFT_R_FLOOR, and the peak values, use the
+residual ||phi_L - U_S U_S* phi_L|| / sqrt(L+1) (noise_correlation),
 which is as accurate as ||W* phi_L|| / sqrt(L+1). The imaging grid keeps
 the FFT form, which still orders its maxima; the refinement needs only the
-derivatives of E = ||U_S* phi_L||^2, which do not cancel.
+derivatives of E, which do not cancel.
 """
 
 from __future__ import annotations
@@ -142,20 +145,35 @@ def _steering(rows: int, om: np.ndarray) -> np.ndarray:
     return (coarse[:, None, :] * fine[None, :, :]).reshape(Q * B, len(om))[:rows]
 
 
-def _grid_correlation(U: np.ndarray, N: int) -> np.ndarray:
-    """R at the nodes k/N, from one length-N FFT of the conjugated signal space.
+def _energy_coefficients(U: np.ndarray) -> np.ndarray:
+    """Coefficients q_d, d <= L, of E(omega) = ||U_S* phi_L||^2 = Re sum q_d exp(-2 pi i d omega).
 
-    Row k of fft(conj(U_S), n=N) is U_S* phi_L(k/N). The form
-    sqrt(1 - ||U_S* phi_L||^2/(L+1)) loses precision where R is near zero
-    (it floors near 1e-8), which still orders the grid maxima.
+    q_0 = p_0 and q_d = 2 p_d, with p_d the sum of the d-th superdiagonal of
+    U_S U_S*: p = ifft(sum_k |fft(conj(U_k))|^2) at a power of two
+    n >= 2L+1, where no lag wraps.
     """
-    coeffs = np.fft.fft(U.conj(), n=N, axis=0)
-    energy = np.sum(coeffs.real**2 + coeffs.imag**2, axis=1) / U.shape[0]
+    rows = U.shape[0]
+    coeffs = np.fft.fft(U.conj(), n=1 << (2 * rows - 2).bit_length(), axis=0)
+    q = np.fft.ifft(np.sum(coeffs.real**2 + coeffs.imag**2, axis=1))[:rows]
+    q[1:] *= 2.0
+    return q
+
+
+def _grid_correlation(q: np.ndarray, N: int) -> np.ndarray:
+    """R at the nodes k/N, from one length-N FFT of the coefficients q of E.
+
+    E(k/N) = Re sum_d q_d exp(-2 pi i d k/N) depends on d mod N alone, so q
+    is folded into N bins first; for N >= L+1 that is the zero-padded FFT.
+    The form sqrt(1 - E/(L+1)) loses precision where R is near zero (it
+    floors near 1e-8), which still orders the grid maxima.
+    """
+    folded = np.pad(q, (0, -len(q) % N)).reshape(-1, N).sum(axis=0)
+    energy = np.fft.fft(folded).real / len(q)
     return np.sqrt(np.clip(1.0 - energy, 0.0, 1.0))
 
 
-def _circular_local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
-    """Index ranges (start, length) of circular local maxima, plateau aware.
+def _circular_local_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and lengths of the circular local maxima runs, plateau aware.
 
     A run of equal values counts as a single maximum when both neighboring
     runs are strictly lower. A constant array has no maxima.
@@ -163,13 +181,13 @@ def _circular_local_maxima(values: np.ndarray) -> list[tuple[int, int]]:
     n = len(values)
     starts = np.flatnonzero(values != np.roll(values, 1))
     if len(starts) == 0:
-        return []
+        return starts, starts
     nxt = np.roll(starts, -1)
     lengths = (nxt - starts) % n
     lengths[lengths == 0] = n
     v = values[starts]
     is_max = (v > values[starts - 1]) & (v > values[nxt])
-    return [(int(a), int(k)) for a, k in zip(starts[is_max], lengths[is_max])]
+    return starts[is_max], lengths[is_max]
 
 
 def music_estimate(
@@ -219,12 +237,13 @@ def music_estimate(
             f"matrix: sigma_S = {s[S - 1]:.3g} <= {rank_tol:.3g}"
         )
     U = split.signal_space
-    values_r = _grid_correlation(U, N)
+    q = _energy_coefficients(U)
+    values_r = _grid_correlation(q, N)
     with np.errstate(divide="ignore"):
         values_j = 1.0 / values_r
     grid = ImagingGrid(resolution=N, values_R=values_r, values_J=values_j)
 
-    candidates = _hill_candidates(U, values_j, S)
+    candidates = _hill_candidates(U, q, values_j, S)
     if len(candidates) < S:
         raise UnderdeterminedPeaksError(found=len(candidates), wanted=S)
     candidates.sort(key=lambda c: (-c[0], c[1] % 1.0))
@@ -242,28 +261,27 @@ def music_estimate(
     )
 
 
-def _hill_candidates(U: np.ndarray, values_j: np.ndarray, S: int) -> list[tuple]:
+def _hill_candidates(U: np.ndarray, q: np.ndarray, values_j: np.ndarray, S: int) -> list[tuple]:
     """Fine local maxima of J on the hills of its S largest grid maxima.
 
     Each hill, between the grid minima on either side of a maximum run, is
-    sampled at lo/N + k/(HILL_OVERSAMPLING*N) by _zoom_correlation. Returns
-    (J, position, bracket lo, bracket hi) per candidate, positions unwrapped.
+    sampled at lo/N + k/(HILL_OVERSAMPLING*N) by _zoom_correlation from the
+    coefficients q of E. Returns (J, position, bracket lo, bracket hi) per
+    candidate, positions unwrapped.
     """
     N = len(values_j)
-    peaks = []
-    for start, length in _circular_local_maxima(values_j):
-        mid = (start + (length - 1) // 2) % N
-        peaks.append((-values_j[mid], mid, start, length))
+    starts, lengths = _circular_local_maxima(values_j)
+    mids = (starts + (lengths - 1) // 2) % N
     # Largest grid maxima first; ties broken toward smaller omega.
-    peaks.sort()
-    hills = [_hill(values_j, start, length) for _, _, start, length in peaks[:S]]
+    top = np.lexsort((mids, -values_j[mids]))[:S]
+    hills = [_hill(values_j, *run) for run in zip(starts[top].tolist(), lengths[top].tolist())]
     fines = [
         (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
         for lo, hi in hills
     ]
     if not fines:
         return []
-    r = _zoom_correlation(U, N, hills)
+    r = _zoom_correlation(q, N, hills)
     r = _residual_below_floor(U, r, np.concatenate(fines) % 1.0)
 
     candidates = []
@@ -272,7 +290,7 @@ def _hill_candidates(U: np.ndarray, values_j: np.ndarray, S: int) -> list[tuple]
             fine_j = 1.0 / fine_r
         last = len(fine) - 1
         threshold = (1.0 + PEAK_RTOL) * max(fine_j[0], fine_j[last])
-        for a, k in _circular_local_maxima(fine_j):
+        for a, k in zip(*_circular_local_maxima(fine_j)):
             m = a + (k - 1) // 2
             # Runs touching a hill edge belong to the neighboring hill.
             if a > 0 and a + k <= last and fine_j[m] > threshold:
@@ -292,38 +310,37 @@ def _hill(values: np.ndarray, start: int, length: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _zoom_correlation(U: np.ndarray, N: int, hills: list[tuple[int, int]]) -> np.ndarray:
+def _zoom_correlation(q: np.ndarray, N: int, hills: list[tuple[int, int]]) -> np.ndarray:
     """FFT-form R at the fine samples of every hill, concatenated hill by hill.
 
     Hill (lo, hi) is sampled at m/P, m = lo*H + k, 0 <= k <= H*(hi - lo),
     with H = HILL_OVERSAMPLING and P = H*N. A Bluestein chirp-z transform
-    gives U_S* phi_L(m/P) = sum_l conj(U_l) exp(-2 pi i l m/P) for all of
-    them from three FFTs: with lk = (l^2 + k^2 - (k-l)^2)/2 it is the
-    convolution of conj(U_l) c(l^2 + 2 l lo H) with c(-j^2), times the
-    unit-modulus c(k^2), where c(q) = exp(-pi i q/P). The kernel depends
+    gives E(m/P) = Re sum_l q_l exp(-2 pi i l m/P) from the coefficients q
+    for all of them with three FFTs: with lk = (l^2 + k^2 - (k-l)^2)/2 the
+    sum is the convolution of q_l c(l^2 + 2 l lo H) with c(-j^2), times the
+    unit-modulus c(k^2), where c(t) = exp(-pi i t/P). The kernel depends
     only on P and on the longest hill, so one kernel serves all hills. Each
-    q is an integer reduced mod 2P before it becomes a phase, so every
+    t is an integer reduced mod 2P before it becomes a phase, so every
     chirp carries a single rounding however large l and m grow.
     """
-    rows = U.shape[0]
+    rows = len(q)
     P = HILL_OVERSAMPLING * N
     counts = [HILL_OVERSAMPLING * (hi - lo) + 1 for lo, hi in hills]
     nfft = 1 << (rows + max(counts) - 2).bit_length()
 
-    def chirp(q):
-        return np.exp(-1j * np.pi * ((q % (2 * P)) / P))
+    def chirp(t):
+        return np.exp(-1j * np.pi * ((t % (2 * P)) / P))
 
     j = np.arange(-(rows - 1), max(counts))
     kernel = np.zeros(nfft, dtype=complex)
     kernel[j % nfft] = chirp(-j * j)
     l = np.arange(rows)
     m0 = np.array([lo * HILL_OVERSAMPLING for lo, _ in hills])
-    # Shape (hill, S, l): each signal column chirped for each hill.
-    a = U.conj().T[None, :, :] * chirp(l * (l + 2 * m0[:, None]))[:, None, :]
+    # Shape (hill, l): the coefficients chirped for each hill.
+    a = q * chirp(l * (l + 2 * m0[:, None]))
     conv = np.fft.ifft(np.fft.fft(a, n=nfft, axis=-1) * np.fft.fft(kernel), axis=-1)
-    energy = np.concatenate([
-        np.sum(c[:, :k].real**2 + c[:, :k].imag**2, axis=0) for c, k in zip(conv, counts)
-    ]) / rows
+    sums = conv[:, :max(counts)] * chirp(j[rows - 1:] ** 2)
+    energy = np.concatenate([e[:k].real for e, k in zip(sums, counts)]) / rows
     return np.sqrt(np.clip(1.0 - energy, 0.0, 1.0))
 
 
@@ -376,7 +393,7 @@ def correlation_sup_diff(
     """Grid approximation of sup |R_noisy - R_clean| over the torus.
 
     Takes the two signal spaces and evaluates both R curves on the N
-    uniform nodes with the FFT of _grid_correlation; nodes where R is below
+    uniform nodes (any N >= 1) with the FFT of _grid_correlation; nodes where R is below
     FFT_R_FLOOR (next to a zero of R) are recomputed with noise_correlation.
     The true sup can only be larger by the grid discretization error.
     """
@@ -387,7 +404,8 @@ def correlation_sup_diff(
         )
     nodes = np.arange(N) / N
     curves = [
-        _residual_below_floor(U, _grid_correlation(U, N), nodes) for U in (U_clean, U_noisy)
+        _residual_below_floor(U, _grid_correlation(_energy_coefficients(U), N), nodes)
+        for U in (U_clean, U_noisy)
     ]
     return float(np.max(np.abs(curves[1] - curves[0])))
 

@@ -409,6 +409,13 @@ class TestCampaigns:
          {"kind": "upper-bound-sweep", "alphas": [0.05, 0.04, 0.03, 0.02], "S": 30,
           "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.05, beta=1.0, M=40))},
          "error: placed 12 of 28 fillers in 10000 tries"),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0, 1.0], "trials_per_cell": 2},
+         "error: sigmas repeats the value 1.0"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5, 0.5], "sigmas": [0.1],
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
+         "error: alphas repeats the value 0.5"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

@@ -95,6 +95,20 @@ class TestExperimentConfig:
             ExperimentConfig(kind=kind, clump_spec=pair_spec(), alphas=(0.5,),
                              sigmas=(0.1, -0.1), M=30, L=15)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(kind="phase-transition", clump_spec=pair_spec(), alphas=(0.5, 0.4, 0.5),
+              sigmas=(0.1,)), "alphas repeats the value 0.5"),
+        (dict(kind="phase-transition", clump_spec=pair_spec(), alphas=(0.5,),
+              sigmas=(0.0, 0.1, 0.0)), "sigmas repeats the value 0.0"),
+        (dict(kind="concentration", M=30, L=15, sigmas=(1.0, 1.0)),
+         "sigmas repeats the value 1.0"),
+    ])
+    def test_repeated_grid_value_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**fields)
+        ExperimentConfig(**{**fields, "alphas": tuple(set(fields.get("alphas", ()))),
+                            "sigmas": tuple(set(fields["sigmas"]))})
+
     def test_unknown_noise_kind_rejected(self):
         with pytest.raises(ValueError, match="noise_kind"):
             ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(),

@@ -19,7 +19,9 @@ from srmusic.music import (
     RankDeficientError,
     UnderdeterminedPeaksError,
     _circular_local_maxima,
+    _energy_coefficients,
     _energy_slopes,
+    _grid_correlation,
     _hill,
     _hill_candidates,
     _refine_peaks,
@@ -53,12 +55,17 @@ def dense_noise_correlation(U, omega):
     """Reference R from a noise basis W: ||W* phi_L|| / sqrt(L+1).
 
     W holds the last columns of a complete QR factor of U, so [U | W] spans
-    C^(L+1) with orthonormal columns.
+    C^(L+1) with orthonormal columns. The steering vectors are formed 2048
+    positions at a time, so a 16,000-node grid at L = 500 stays small.
     """
     W = np.linalg.qr(U, mode="complete")[0][:, U.shape[1]:]
     rows = U.shape[0]
-    phi = np.exp(-2j * np.pi * np.outer(np.arange(rows), np.atleast_1d(omega)))
-    return np.minimum(np.linalg.norm(W.conj().T @ phi, axis=0) / math.sqrt(rows), 1.0)
+    omega = np.atleast_1d(omega)
+    norms = [
+        np.linalg.norm(W.conj().T @ np.exp(-2j * np.pi * np.outer(np.arange(rows), block)), axis=0)
+        for block in np.split(omega, range(2048, len(omega), 2048))
+    ]
+    return np.minimum(np.concatenate(norms) / math.sqrt(rows), 1.0)
 
 
 def dense_sup_diff(U_clean, U_noisy, N):
@@ -166,17 +173,13 @@ def noisy_measurements(points, M, sigma, seed):
 
 
 # (points as multiples of 1/M, M, L, N): odd and even L, N not a power of
-# two, and a close pair straddling the 0/1 cut.
+# two, a close pair straddling the 0/1 cut, and a music-large-m layout:
+# 4 clumps of 2 at M = 1000.
 FAST_PATH_CASES = [
     ((-0.3, 0.4, 40.0), 100, 50, 803),
     ((-0.3, 0.4, 40.0), 100, 49, 1000),
     ((10.0, 10.5, 61.0, 130.0), 160, 81, 1291),
     ((-0.25, 0.08, 95.0), 200, 100, 1600),
-]
-
-
-# The FAST_PATH_CASES and a music-large-m layout: 4 clumps of 2 at M = 1000.
-ZOOM_CASES = FAST_PATH_CASES + [
     ((10.0, 11.4, 260.0, 261.3, 500.0, 501.6, 760.0, 761.5), 1000, 500, 16000),
 ]
 
@@ -258,19 +261,19 @@ class TestImagingFunction:
 class TestCircularLocalMaxima:
     def test_simple_and_plateau(self):
         values = np.array([0.0, 1.0, 0.0, 2.0, 2.0, 0.0])
-        runs = _circular_local_maxima(values)
+        runs = list(zip(*_circular_local_maxima(values)))
         assert (1, 1) in runs
         assert (3, 2) in runs
         assert len(runs) == 2
 
     def test_wraparound_plateau(self):
         values = np.array([3.0, 0.0, 1.0, 0.0, 3.0])
-        runs = _circular_local_maxima(values)
+        runs = list(zip(*_circular_local_maxima(values)))
         assert (4, 2) in runs  # run covers indices 4 and 0
         assert (2, 1) in runs
 
     def test_constant_has_none(self):
-        assert _circular_local_maxima(np.ones(10)) == []
+        assert all(len(a) == 0 for a in _circular_local_maxima(np.ones(10)))
 
     @given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, math.inf, -math.inf, math.nan]),
                     min_size=1, max_size=40))
@@ -281,7 +284,7 @@ class TestCircularLocalMaxima:
     @settings(max_examples=500, deadline=None)
     def test_matches_loop_reference(self, values):
         values = np.array(values)
-        assert _circular_local_maxima(values) == circular_local_maxima_loop(values)
+        assert list(zip(*_circular_local_maxima(values))) == circular_local_maxima_loop(values)
 
 
 class TestSignalSpaceFastPaths:
@@ -314,8 +317,28 @@ class TestSignalSpaceFastPaths:
         ref = SupportSet(dense_reference_estimate(y, len(points), L, N))
         assert match_supports(ref, est.recovered) <= 1e-8
 
+    @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
+    def test_energy_coefficients(self, points, M, L, N):
+        y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.05, seed=M + L)
+        U = signal_space(y, len(points), L)
+        q = _energy_coefficients(U)
+        assert q.shape == (L + 1,)
+        assert abs(q[0] - len(points)) <= 1e-13
+        omega = np.random.default_rng(N).uniform(size=200)
+        phi = np.exp(-2j * np.pi * np.outer(np.arange(L + 1), omega))
+        energy = np.linalg.norm(U.conj().T @ phi, axis=0) ** 2
+        assert np.max(np.abs((q @ phi).real - energy)) <= 1e-12 * (L + 1)
 
-    @pytest.mark.parametrize("points, M, L, N", ZOOM_CASES)
+    # Grids coarser than the L+1 = 51 Hankel rows, where lags alias mod N.
+    @pytest.mark.parametrize("N", [40, 51])
+    def test_coarse_grid_matches_dense_scan(self, N):
+        y = noisy_measurements([0.05, 0.062, 0.7], 100, 0.05, seed=N)
+        U = signal_space(y, 3, 50)
+        grid = _grid_correlation(_energy_coefficients(U), N)
+        assert np.max(np.abs(grid - dense_noise_correlation(U, np.arange(N) / N))) <= 1e-10
+
+
+    @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_zoom_scan_matches_residual_scan(self, points, M, L, N, sigma):
         y = noisy_measurements([(p / M) % 1.0 for p in points], M, sigma, seed=M + L)
@@ -327,12 +350,13 @@ class TestSignalSpaceFastPaths:
             (lo + np.arange(HILL_OVERSAMPLING * (hi - lo) + 1) / HILL_OVERSAMPLING) / N
             for lo, hi in hills
         ])
-        zoom = _zoom_correlation(U, N, hills)
+        q = _energy_coefficients(U)
+        zoom = _zoom_correlation(q, N, hills)
         residual = noise_correlation(U, fine % 1.0)
         above = residual >= FFT_R_FLOOR
         assert np.max(np.abs(zoom - residual)[above]) <= 1e-12
         # Same fine sample and bracket for every candidate, in the same order.
-        fast = _hill_candidates(U, j, S)
+        fast = _hill_candidates(U, q, j, S)
         ref = hill_scan_loop(lambda omega: noise_correlation(U, omega), j, S)
         assert [c[1:] for c in fast] == [c[1:] for c in ref]
         r_fast = 1.0 / np.array([c[0] for c in fast])
@@ -343,13 +367,14 @@ class TestSignalSpaceFastPaths:
 class TestRefinePeaks:
     """Lockstep safeguarded Newton against golden section and its own safeguards."""
 
-    @pytest.mark.parametrize("points, M, L, N", ZOOM_CASES)
+    @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
     @pytest.mark.parametrize("sigma", [0.0, 0.05])
     def test_never_worse_than_golden_section(self, points, M, L, N, sigma):
         y = noisy_measurements([(p / M) % 1.0 for p in points], M, sigma, seed=M + L)
         S = len(points)
         U = signal_space(y, S, L)
-        candidates = _hill_candidates(U, music_estimate(y, S=S, L=L, N=N).grid.values_J, S)
+        j = music_estimate(y, S=S, L=L, N=N).grid.values_J
+        candidates = _hill_candidates(U, _energy_coefficients(U), j, S)
         candidates.sort(key=lambda c: (-c[0], c[1] % 1.0))
         _, start, lo, hi = np.array(candidates[:S]).T
         w = _refine_peaks(U, start, lo, hi)
@@ -426,7 +451,7 @@ class TestNoiseCorrelationCalls:
     # every hill has samples below FFT_R_FLOOR. The two calls are that
     # floor recompute and the peak values; refinement makes none, and its
     # Newton steps take all S peaks per product.
-    @pytest.mark.parametrize("points, M", [((50.0, 51.5), 200), (ZOOM_CASES[-1][0], 1000)])
+    @pytest.mark.parametrize("points, M", [((50.0, 51.5), 200), (FAST_PATH_CASES[-1][0], 1000)])
     def test_count_does_not_grow_with_s(self, monkeypatch, points, M):
         y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.0, seed=M)
         calls = self.count_calls(monkeypatch)
@@ -592,6 +617,7 @@ class TestCorrelationSupDiff:
         ((-0.3, 0.4, 40.0), 100, 49, 1000, 0.3),
         ((10.0, 10.5, 61.0, 130.0), 160, 81, 1291, 0.1),
         ((-0.25, 0.08, 95.0), 200, 100, 1600, 1e-4),
+        ((5.0 + 5e-6, 6.2, 70.0), 100, 50, 40, 0.05),
     ])
     def test_matches_dense_noise_form(self, points, M, L, N, sigma):
         support = [(p / M) % 1.0 for p in points]
