@@ -76,6 +76,24 @@ class CliUsageError(Exception):
     pass
 
 
+def _jobs(text: str) -> int:
+    """The --jobs value: a whole number of worker threads, at least 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return jobs
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, where the platform says; else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems instead of exiting the process."""
 
@@ -302,7 +320,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="ExperimentConfig JSON (or a manifest)")
         p.add_argument("--seed", type=int, default=None, help="override the config base seed")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--jobs", type=_jobs, default=_usable_cpus())
         p.add_argument("--out", default="runs")
         p.set_defaults(func=lambda a, kinds=kinds: _run_campaign(a, kinds))
 

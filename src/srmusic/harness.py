@@ -4,10 +4,11 @@ Five campaign kinds: sigma-min sweeps over the spacing factor, upper-bound
 witness sweeps, Wedin perturbation checks, Hankel noise concentration, and
 full MUSIC phase transitions over an (SRF, sigma) grid. CAMPAIGN_KINDS
 describes each kind in one entry: the config fields it requires, the axes
-that index its cells, its trial, its CSV columns and its summary. Every
-record's RNG stream derives from (base_seed, cell index), so campaigns are
-reproducible and parallel safe; CSV output contains no timing so reruns
-are byte-identical.
+that index its cells, its trial, its CSV columns and its summary.
+rate_table counts any per-trial success rule over the (SRF, sigma) cells.
+Every record's RNG stream derives from (base_seed, cell index), so
+campaigns are reproducible and parallel safe; CSV output contains no
+timing so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -433,8 +434,8 @@ def _cells(records: Sequence[ExperimentRecord], key: Callable) -> dict[object, l
 
 
 @dataclass(frozen=True)
-class PhaseTransitionSummary:
-    """Success frequencies over the (SRF, sigma/x_min) grid.
+class RateTable:
+    """How often one success rule holds over the (SRF, sigma/x_min) grid.
 
     level90 holds, per SRF, the largest tested sigma/x_min whose success
     rate is at least 0.9 (None when even the smallest noise fails).
@@ -445,31 +446,35 @@ class PhaseTransitionSummary:
     success_rate: tuple[tuple[float, ...], ...]
     trials_per_cell: int
     level90: tuple[float | None, ...]
-    success_rule: str = "match_supports < alpha/(2M)"
+    success_rule: str
 
 
-def phase_transition_summary(
-    records: Sequence[ExperimentRecord], nominal_x_min: float = 1.0
-) -> PhaseTransitionSummary:
-    """Aggregate phase-transition records into the success-probability table."""
+def rate_table(
+    records: Sequence[ExperimentRecord],
+    passed: Callable[[ExperimentRecord], bool],
+    rule: str,
+    nominal_x_min: float,
+) -> RateTable:
+    """Share of records per (alpha, sigma) cell for which passed(record) holds."""
     if not records:
-        raise ValueError("no phase-transition records to summarize")
+        raise ValueError("no records to summarize")
     cells = _cells(records, lambda r: (r.alpha, r.sigma))
     alphas = sorted({a for a, _ in cells}, reverse=True)  # increasing SRF
     sigmas = sorted({s for _, s in cells})
-    success = {key: sum(bool(r.values["success"]) for r in cell) / len(cell)
+    success = {key: sum(bool(passed(r)) for r in cell) / len(cell)
                for key, cell in cells.items()}
     rates = [tuple(success[(a, s)] for s in sigmas) for a in alphas]
     levels = []
     for row in rates:
         ok = [s for s, rate in zip(sigmas, row) if rate >= 0.9]
         levels.append(max(ok) / nominal_x_min if ok else None)
-    return PhaseTransitionSummary(
+    return RateTable(
         srf=tuple(1.0 / a for a in alphas),
         sigma_over_xmin=tuple(s / nominal_x_min for s in sigmas),
         success_rate=tuple(rates),
         trials_per_cell=max(len(cell) for cell in cells.values()),
         level90=tuple(levels),
+        success_rule=rule,
     )
 
 
@@ -519,6 +524,11 @@ def _perturbation_summary(records: Sequence[ExperimentRecord],
     ratios = [v["sup_diff"] / v["wedin_bound"] for v in ok if v["wedin_bound"] > 0]
     if ratios:
         out["max_ratio_sup_to_bound"] = max(ratios)
+    # epsilon-stability; a trial that recorded an error counts as a failure.
+    out["table"] = asdict(rate_table(
+        records, lambda r: not r.error and r.values["sup_diff"] <= config.epsilon,
+        f"sup_diff <= epsilon = {config.epsilon}", config.amplitude_model.nominal_x_min,
+    ))
     return out
 
 
@@ -574,8 +584,9 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
         columns=("alpha", "srf", "sigma", "trial", "seed", "matched_error", "success",
                  "error"),
         summary=lambda records, config: {
-            "table": asdict(phase_transition_summary(
-                records, nominal_x_min=config.amplitude_model.nominal_x_min
+            "table": asdict(rate_table(
+                records, lambda r: r.values["success"], "match_supports < alpha/(2M)",
+                config.amplitude_model.nominal_x_min,
             ))
         },
     ),

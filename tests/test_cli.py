@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 from dataclasses import asdict
 from pathlib import Path
 
@@ -425,6 +426,67 @@ class TestCampaigns:
                      "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["-3", "0", "two"])
+    def test_bad_jobs_exit_one(self, tmp_path, capsys, jobs):
+        cfg_path = tmp_path / "cfg.json"
+        ExperimentConfig(kind="concentration", M=30, L=15, sigmas=(1.0,)).save(cfg_path)
+        out = tmp_path / "runs"
+        assert main(["concentration", "--config", str(cfg_path), "--jobs", jobs,
+                     "--out", str(out)]) == 1
+        assert (f"error: argument --jobs: must be an integer of at least 1, got {jobs!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_jobs_default_is_usable_cpus(self, tmp_path, monkeypatch):
+        # Two CPUs in the affinity mask of a machine with 64.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        config = ExperimentConfig(kind="concentration", M=30, L=15, sigmas=(1.0,))
+        cfg_path = tmp_path / "cfg.json"
+        config.save(cfg_path)
+        assert main(["concentration", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "runs")]) == 0
+        manifest = json.loads(
+            (tmp_path / "runs" / config.config_hash() / "manifest.json").read_text())
+        assert manifest["options"]["jobs"] == 2
+
+    @pytest.mark.parametrize("subcommand, config", [
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5, 0.4], "sigmas": [0.0, 0.01, 0.1],
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=40))}),
+        ("perturbation",
+         {"kind": "perturbation-check", "sigmas": [0.0, 0.01, 0.1], "epsilon": 0.1,
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=40))}),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [0.5, 1.0],
+          "trials_per_cell": 3, "noise_kind": "real"}),
+    ])
+    def test_summary_keys_read_downstream(self, tmp_path, subcommand, config):
+        """The keys that the benchmark's checks and the printed headlines read."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "runs"
+        assert main([subcommand, "--config", str(cfg_path), "--jobs", "1",
+                     "--out", str(out)]) == 0
+        (path,) = out.glob("*/*_summary.json")
+        summary = json.loads(path.read_text())
+        sigmas = config["sigmas"]
+        if subcommand == "concentration":
+            assert [rep["sigma"] for rep in summary["reports"]] == sigmas
+            for rep in summary["reports"]:
+                assert rep["kind"] == "real"
+                assert rep["empirical_mean_norm"] < rep["expectation_bound"]
+                for key in ("tail_t", "empirical_tail_prob", "tail_bound"):
+                    assert isinstance(rep[key], float)
+                assert len(rep["tail_wilson"]) == 2
+        else:
+            table = summary["table"]
+            rows = len(config.get("alphas", [None]))
+            assert len(table["srf"]) == len(table["level90"]) == rows
+            assert [len(row) for row in table["success_rate"]] == [len(sigmas)] * rows
+            assert all(0.0 <= rate <= 1.0 for row in table["success_rate"] for rate in row)
+            assert all(level in sigmas for level in table["level90"])
 
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))

@@ -9,8 +9,8 @@ from srmusic import fourier
 from srmusic.harness import (
     AmplitudeModel,
     ExperimentConfig,
+    ExperimentRecord,
     concentration_summary,
-    phase_transition_summary,
     run_experiment,
     save_records,
     summarize,
@@ -286,13 +286,13 @@ class TestSummaries:
             sigmas=(0.0, 5.0),
             trials_per_cell=4,
         )
-        records = run_experiment(config)
-        summary = phase_transition_summary(records)
-        assert summary.srf == (2.0, 2.5)
-        assert summary.sigma_over_xmin == (0.0, 5.0)
-        assert summary.success_rate[0][0] == 1.0
-        assert summary.level90[0] is not None
-        assert summary.trials_per_cell == 4
+        table = summarize(run_experiment(config), config)["table"]
+        assert table["srf"] == (2.0, 2.5)
+        assert table["sigma_over_xmin"] == (0.0, 5.0)
+        assert table["success_rate"][0][0] == 1.0
+        assert table["level90"][0] is not None
+        assert table["trials_per_cell"] == 4
+        assert table["success_rule"] == "match_supports < alpha/(2M)"
 
     def test_all_success_gives_ones(self):
         config = ExperimentConfig(
@@ -302,9 +302,9 @@ class TestSummaries:
             sigmas=(0.0, 1e-9),
             trials_per_cell=2,
         )
-        summary = phase_transition_summary(run_experiment(config))
-        assert all(rate == 1.0 for row in summary.success_rate for rate in row)
-        assert summary.level90 == (1e-9,)
+        table = summarize(run_experiment(config), config)["table"]
+        assert all(rate == 1.0 for row in table["success_rate"] for rate in row)
+        assert table["level90"] == (1e-9,)
 
     def test_monotone_in_sigma_up_to_wilson_noise(self):
         config = ExperimentConfig(
@@ -314,13 +314,38 @@ class TestSummaries:
             sigmas=(0.001, 0.05, 0.3, 1.5, 6.0),
             trials_per_cell=8,
         )
-        summary = phase_transition_summary(run_experiment(config))
-        n = summary.trials_per_cell
-        for row in summary.success_rate:
+        table = summarize(run_experiment(config), config)["table"]
+        n = table["trials_per_cell"]
+        for row in table["success_rate"]:
             for a, b in zip(row, row[1:]):
                 lo_next = wilson_interval(round(b * n), n)[0]
                 hi_prev = wilson_interval(round(a * n), n)[1]
                 assert lo_next <= hi_prev
+
+    def test_perturbation_table_counts_epsilon_stable_trials(self):
+        # Per sigma: the share of trials with sup_diff <= epsilon, where a
+        # trial that recorded an error fails; sigma is divided by x_min.
+        config = ExperimentConfig(
+            kind="perturbation-check",
+            clump_spec=pair_spec(M=50, alpha=0.4),
+            sigmas=(0.1, 0.2),
+            epsilon=0.3,
+            amplitude_model=AmplitudeModel("random-modulus", modulus_range=(0.5, 1.0)),
+        )
+
+        def record(sigma, sup_diff, error=""):
+            values = {"success": False} if error else {"sup_diff": sup_diff}
+            return ExperimentRecord(0.4, sigma, 0, "0", values, error)
+
+        records = [record(0.1, 0.1), record(0.1, 0.3), record(0.1, 0.0, "LinAlgError: x"),
+                   record(0.2, 0.31), record(0.2, 0.2), record(0.2, 0.0)]
+        table = summarize(records, config)["table"]
+        assert table["srf"] == (2.5,)
+        assert table["sigma_over_xmin"] == (0.2, 0.4)
+        assert table["success_rate"] == ((2 / 3, 2 / 3),)
+        assert table["level90"] == (None,)
+        assert table["trials_per_cell"] == 3
+        assert table["success_rule"] == "sup_diff <= epsilon = 0.3"
 
     def test_concentration_summary_reports(self):
         config = ExperimentConfig(
@@ -350,8 +375,10 @@ class TestSummaries:
         assert abs(summary["slope"] - 1.0) <= 0.3
 
     def test_empty_summary_rejected(self):
+        config = ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(M=50),
+                                  alphas=(0.5,), sigmas=(0.0,))
         with pytest.raises(ValueError):
-            phase_transition_summary([])
+            summarize([], config)
 
 
 class TestNoiseThresholdEndToEnd:
@@ -375,10 +402,9 @@ class TestNoiseThresholdEndToEnd:
             sigmas=(sigma,),
             trials_per_cell=20,
             base_seed=2,
+            epsilon=eps,
         )
-        pert_records = run_experiment(pert)
-        within_eps = [r for r in pert_records if r.values["sup_diff"] <= eps]
-        assert len(within_eps) >= 18
+        assert summarize(run_experiment(pert), pert)["table"]["level90"] == (sigma,)
 
         phase = ExperimentConfig(
             kind="phase-transition",
@@ -388,8 +414,7 @@ class TestNoiseThresholdEndToEnd:
             trials_per_cell=20,
             base_seed=3,
         )
-        phase_records = run_experiment(phase)
-        assert sum(1 for r in phase_records if r.values["success"]) >= 18
+        assert summarize(run_experiment(phase), phase)["table"]["level90"] == (sigma,)
 
 
 class TestPerCellFailureIsolation:
