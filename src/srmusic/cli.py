@@ -1,10 +1,10 @@
 """Command-line front end; every capability is a subcommand with a manifest.
 
-Each run writes a manifest.json (resolved options, seed, artifact version,
-output names) beside its outputs, so any result can be reproduced from the
-directory alone. stdout carries human-readable summaries only; data goes
-to files. Exit codes: 0 success, 1 input or validation error, 2 numerical
-failure.
+Each run writes a manifest.json (parsed and resolved options, seed,
+artifact version, output names) beside its outputs, so any result can be
+reproduced from the directory alone. stdout carries human-readable
+summaries only; data goes to files. Exit codes: 0 success, 1 input or
+validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -101,8 +101,12 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _write_manifest(out_dir: Path, subcommand: str, options: dict, outputs: list,
-                    config: dict | None = None) -> Path:
+def _write_manifest(out_dir: Path, subcommand: str, args, outputs: list,
+                    config: dict | None = None, **resolved) -> Path:
+    """Record every parsed option, with the values the command resolved in place."""
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("subcommand", "func")}
+    options.update(resolved)
     manifest = {
         "artifact": "srmusic",
         "version": srmusic.__version__,
@@ -127,13 +131,8 @@ def _cmd_gen_support(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "support.json").write_text(json.dumps(asdict(support), indent=2) + "\n")
     (out / "partition.json").write_text(json.dumps(asdict(partition), indent=2) + "\n")
-    _write_manifest(
-        out,
-        "gen-support",
-        {"spec": str(args.spec), "seed": args.seed, "out": str(out)},
-        ["support.json", "partition.json"],
-        config=asdict(spec),
-    )
+    _write_manifest(out, "gen-support", args, ["support.json", "partition.json"],
+                    config=asdict(spec))
     delta = min_separation(support) if support.size >= 2 else None
     print(f"generated {support.size} points in {partition.num_clumps} clumps")
     if delta is not None:
@@ -151,18 +150,13 @@ def _cmd_sigma_min(args) -> int:
     (out / "sigma_min.json").write_text(
         json.dumps({"sigma_min": value, "M": args.M, "S": support.size}, indent=2) + "\n"
     )
-    _write_manifest(
-        out,
-        "sigma-min",
-        {"support": str(args.support), "M": args.M, "out": str(out)},
-        ["sigma_min.json"],
-    )
+    _write_manifest(out, "sigma-min", args, ["sigma_min.json"])
     print(f"sigma_min = {value!r} (M = {args.M}, S = {support.size})")
     return 0
 
 
-def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
-    """Build measurements from a synthesis spec file; returns (y, truth, M)."""
+def _synthesize(args) -> tuple[np.ndarray, SupportSet]:
+    """Build measurements from a synthesis spec file; returns (y, truth)."""
     spec = from_fields(SynthesisSpec, json.loads(Path(args.synthesize).read_text()),
                        name="synthesis spec")
     rng = np.random.default_rng(args.seed)
@@ -179,7 +173,7 @@ def _synthesize(args) -> tuple[np.ndarray, SupportSet, int]:
     amp = AmplitudeModel.from_dict(spec.amplitude_model)
     sigma = args.sigma if args.sigma is not None else spec.sigma
     _, y0, eta = synthesize(support, M, sigma, rng, amp, spec.noise_kind)
-    return y0 + eta, support, M
+    return y0 + eta, support
 
 
 def _cmd_music(args) -> int:
@@ -192,7 +186,7 @@ def _cmd_music(args) -> int:
             raise ValueError("--S is required with --input")
         S = args.S
     else:
-        y, truth, _ = _synthesize(args)
+        y, truth = _synthesize(args)
         S = args.S if args.S is not None else truth.size
     M = len(y) - 1
     L = args.L if args.L is not None else M // 2
@@ -207,22 +201,7 @@ def _cmd_music(args) -> int:
     if args.synthesize is not None:
         save_measurements(y, out / "measurements.csv")
         outputs.append("measurements.csv")
-    _write_manifest(
-        out,
-        "music",
-        {
-            "input": None if args.input is None else str(args.input),
-            "synthesize": None if args.synthesize is None else str(args.synthesize),
-            "S": S,
-            "L": L,
-            "grid": N,
-            "sigma": args.sigma,
-            "refine": args.refine,
-            "seed": args.seed,
-            "out": str(out),
-        },
-        outputs,
-    )
+    _write_manifest(out, "music", args, outputs, S=S, L=L, grid=N)
     print(f"recovered {S} sources (L = {L}, grid = {N}, refine = {args.refine}):")
     for w, j in zip(estimate.recovered.points, estimate.peak_values):
         print(f"  omega = {w:.8f}  J = {j:.4g}")
@@ -244,18 +223,9 @@ def _run_campaign(args, expected_kinds: tuple[str, ...]) -> int:
     records = run_experiment(config, jobs=args.jobs)
     paths = save_records(records, config, args.out)
     config.save(paths["dir"] / "config.json")
-    _write_manifest(
-        paths["dir"],
-        config.kind,
-        {
-            "config": str(args.config),
-            "seed": config.base_seed,
-            "jobs": args.jobs,
-            "out": str(args.out),
-        },
-        [paths["csv"].name, paths["summary"].name, "config.json"],
-        config=config.to_dict(),
-    )
+    _write_manifest(paths["dir"], config.kind, args,
+                    [paths["csv"].name, paths["summary"].name, "config.json"],
+                    config=config.to_dict(), seed=config.base_seed)
     failures = [r for r in records if r.error]
     print(f"{config.kind}: {len(records)} records -> {paths['csv']}")
     if failures:

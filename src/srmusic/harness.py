@@ -34,6 +34,7 @@ from srmusic.bounds import (
 from srmusic.fourier import hankel, sigma_min, spectral_norm, svd_split, vandermonde
 from srmusic.music import (
     DEFAULT_GRID_FACTOR,
+    MIN_GRID_FACTOR,
     correlation_sup_diff,
     match_supports,
     music_estimate,
@@ -145,6 +146,8 @@ class ExperimentConfig:
         if (self.M is not None and self.clump_spec is not None
                 and self.M != self.clump_spec.M):
             raise ValueError(f"M = {self.M} disagrees with clump_spec M = {self.clump_spec.M}")
+        if self.N is not None and self.N < 1:
+            raise ValueError(f"N must be at least 1, got {self.N}")
         if self.L is not None and not 0 <= self.L <= self.resolved_m:
             raise ValueError(f"L = {self.L} outside [0, M] = [0, {self.resolved_m}]")
         if self.clump_spec is not None:
@@ -354,6 +357,13 @@ def _check_hankel_split(config: ExperimentConfig) -> None:
     S, L, M = config.clump_spec.total_points, config.resolved_l, config.resolved_m
     if not S <= L <= M + 1 - S:
         raise ValueError(f"{config.kind} needs S <= L <= M+1-S, got S={S}, L={L}, M={M}")
+
+
+def _check_phase_transition(config: ExperimentConfig) -> None:
+    _check_hankel_split(config)
+    N, M = config.resolved_n, config.resolved_m
+    if N < MIN_GRID_FACTOR * M:
+        raise ValueError(f"grid resolution {N} below {MIN_GRID_FACTOR}*M = {MIN_GRID_FACTOR * M}")
 
 
 def _perturbation_check(config: ExperimentConfig) -> Callable[..., dict]:
@@ -578,7 +588,7 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
     ),
     "phase-transition": CampaignKind(
         requires=("clump_spec", "alphas", "sigmas"),
-        check=_check_hankel_split,
+        check=_check_phase_transition,
         axes=("alphas", "sigmas"),
         prepare=_phase_transition,
         columns=("alpha", "srf", "sigma", "trial", "seed", "matched_error", "success",

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srmusic.cli import CAMPAIGN_COMMANDS, main
+from srmusic.cli import CAMPAIGN_COMMANDS, build_parser, main
 from srmusic.harness import ExperimentConfig
 from srmusic.music import load_measurements, save_measurements
 from srmusic.torus import ClumpSpec, SupportSet, from_fields
@@ -26,6 +26,18 @@ def two_point_synth(tmp_path):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps(spec))
     return path
+
+
+def assert_manifest_options(out_dir, argv, **resolved):
+    """options is the parsed namespace without subcommand and func, in argparse
+    order, with the values the command resolved in place."""
+    parsed = vars(build_parser().parse_args(argv))
+    expected = [(key, resolved.pop(key, value)) for key, value in parsed.items()
+                if key not in ("subcommand", "func")]
+    assert not resolved, f"resolved values that are not options: {resolved}"
+    manifest = json.loads((Path(out_dir) / "manifest.json").read_text())
+    assert list(manifest["options"].items()) == expected
+    assert manifest["seed"] == manifest["options"].get("seed")
 
 
 class TestUsage:
@@ -49,9 +61,9 @@ class TestGenSupport:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(asdict(spec)))
         out = tmp_path / "run"
-        code = main(["gen-support", "--spec", str(spec_path), "--seed", "3",
-                     "--out", str(out)])
-        assert code == 0
+        argv = ["gen-support", "--spec", str(spec_path), "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert_manifest_options(out, argv)
         support = from_fields(SupportSet, json.loads((out / "support.json").read_text()))
         assert support.size == 4
         assert (out / "support.json").read_text() == json.dumps({"points": [
@@ -80,9 +92,9 @@ class TestSigmaMin:
         support_path = tmp_path / "omega.json"
         support_path.write_text(json.dumps({"points": [0.25]}))
         out = tmp_path / "run"
-        code = main(["sigma-min", "--support", str(support_path), "--M", "100",
-                     "--out", str(out)])
-        assert code == 0
+        argv = ["sigma-min", "--support", str(support_path), "--M", "100", "--out", str(out)]
+        assert main(argv) == 0
+        assert_manifest_options(out, argv)
         data = json.loads((out / "sigma_min.json").read_text())
         assert data["sigma_min"] == pytest.approx(np.sqrt(101.0))
         assert "sigma_min" in capsys.readouterr().out
@@ -103,18 +115,16 @@ class TestSigmaMin:
 class TestMusic:
     def test_synthesized_two_point_recovery(self, tmp_path, two_point_synth, capsys):
         out = tmp_path / "run"
-        code = main(["music", "--synthesize", str(two_point_synth),
-                     "--sigma", "0", "--grid", "1600", "--refine",
-                     "--out", str(out)])
-        assert code == 0
+        argv = ["music", "--synthesize", str(two_point_synth), "--sigma", "0",
+                "--grid", "1600", "--refine", "--out", str(out)]
+        assert main(argv) == 0
         rec = json.loads((out / "recovered.json").read_text())
         assert len(rec["points"]) == 2
         for got, want in zip(sorted(rec["points"]), (0.2, 0.7)):
             assert abs(got - want) <= 1.0 / 1600
         grid_lines = (out / "imaging_grid.csv").read_text().splitlines()
         assert len(grid_lines) == 1601
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["options"]["grid"] == 1600
+        assert_manifest_options(out, argv, S=2, L=50)
 
     def test_measurements_csv_matches_csv_writer(self, tmp_path, two_point_synth):
         # The loop it replaced: csv.writer rows of the index and repr floats.
@@ -137,10 +147,11 @@ class TestMusic:
         meas = tmp_path / "y.csv"
         save_measurements(y, meas)
         out = tmp_path / "run"
-        code = main(["music", "--input", str(meas), "--S", "2", "--out", str(out)])
-        assert code == 0
+        argv = ["music", "--input", str(meas), "--S", "2", "--out", str(out)]
+        assert main(argv) == 0
         rec = json.loads((out / "recovered.json").read_text())
         assert len(rec["points"]) == 2
+        assert_manifest_options(out, argv, L=30, grid=960)
 
     def test_requires_s_with_input(self, tmp_path):
         meas = tmp_path / "y.csv"
@@ -223,12 +234,14 @@ class TestMusic:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = tmp_path / "run"
-        assert main(["music", "--synthesize", str(two_point_synth),
-                     "--out", str(out)]) == 0
+        argv = ["music", "--synthesize", str(two_point_synth), "--out", str(out)]
+        assert main(argv) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
         }
+        # S from the synthesized truth, L = M // 2 and grid = 16 * M.
+        assert_manifest_options(out, argv, S=2, L=50, grid=1600)
 
     def test_rejects_both_sources(self, tmp_path, two_point_synth):
         meas = tmp_path / "y.csv"
@@ -245,17 +258,18 @@ class TestCampaigns:
             alphas=(0.5, 0.4),
             sigmas=(0.0, 0.1),
             trials_per_cell=2,
+            base_seed=5,
         )
         cfg_path = tmp_path / "cfg.json"
         config.save(cfg_path)
         out = tmp_path / "runs"
-        code = main(["phase-transition", "--config", str(cfg_path), "--jobs", "1",
-                     "--out", str(out)])
-        assert code == 0
+        argv = ["phase-transition", "--config", str(cfg_path), "--jobs", "1", "--out", str(out)]
+        assert main(argv) == 0
         run_dir = out / config.config_hash()
         rows = (run_dir / "phase-transition.csv").read_text().splitlines()
         assert len(rows) == 1 + 2 * 2 * 2
-        assert (run_dir / "manifest.json").exists()
+        # Without --seed, the manifest records the config's base_seed.
+        assert_manifest_options(run_dir, argv, seed=5)
         summary = json.loads((run_dir / "phase-transition_summary.json").read_text())
         assert summary["records"] == 8
 
@@ -310,12 +324,13 @@ class TestCampaigns:
         cfg_path = tmp_path / "cfg.json"
         config.save(cfg_path)
         out = tmp_path / "r"
-        assert main(["concentration", "--config", str(cfg_path), "--seed", "9",
-                     "--out", str(out)]) == 0
+        argv = ["concentration", "--config", str(cfg_path), "--seed", "9", "--out", str(out)]
+        assert main(argv) == 0
         # The overridden seed is part of the effective config and its hash.
         import dataclasses
         effective = dataclasses.replace(config, base_seed=9)
         assert (out / effective.config_hash() / "concentration.csv").exists()
+        assert_manifest_options(out / effective.config_hash(), argv, seed=9)
 
     def test_perturbation_at_zero_sigma(self, tmp_path, capsys):
         config = ExperimentConfig(
@@ -327,8 +342,9 @@ class TestCampaigns:
         cfg_path = tmp_path / "cfg.json"
         config.save(cfg_path)
         out = tmp_path / "runs"
-        assert main(["perturbation", "--config", str(cfg_path), "--jobs", "1",
-                     "--out", str(out)]) == 0
+        argv = ["perturbation", "--config", str(cfg_path), "--jobs", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert_manifest_options(out / config.config_hash(), argv, seed=0)
         summary = json.loads(
             (out / config.config_hash() / "perturbation-check_summary.json").read_text()
         )
@@ -353,11 +369,14 @@ class TestCampaigns:
     def test_headlines_printed(self, tmp_path, capsys, subcommand, config, headlines):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        assert main([subcommand, "--config", str(cfg_path), "--jobs", "1",
-                     "--out", str(tmp_path / "runs")]) == 0
+        argv = [subcommand, "--config", str(cfg_path), "--jobs", "1",
+                "--out", str(tmp_path / "runs")]
+        assert main(argv) == 0
         out = capsys.readouterr().out
         for line in headlines:
             assert line in out
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert_manifest_options(run_dir, argv, seed=0)
 
     @pytest.mark.parametrize("subcommand, config, message", [
         ("concentration",
@@ -417,6 +436,18 @@ class TestCampaigns:
          {"kind": "phase-transition", "alphas": [0.5, 0.5], "sigmas": [0.1],
           "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
          "error: alphas repeats the value 0.5"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "N": 400,
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=100))},
+         "error: grid resolution 400 below 8*M = 800"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1], "N": 0,
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=100))},
+         "error: N must be at least 1, got 0"),
+        ("perturbation",
+         {"kind": "perturbation-check", "sigmas": [0.1], "N": 0,
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=100))},
+         "error: N must be at least 1, got 0"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

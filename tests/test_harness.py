@@ -122,6 +122,20 @@ class TestExperimentConfig:
                                   alphas=(0.5,), sigmas=(0.0,), M=50)
         assert config.resolved_m == 50
 
+    @pytest.mark.parametrize("kind, N, message", [
+        ("concentration", 0, "N must be at least 1, got 0"),
+        ("perturbation-check", 0, "N must be at least 1, got 0"),
+        ("phase-transition", -3, "N must be at least 1, got -3"),
+        ("phase-transition", 799, "grid resolution 799 below 8*M = 800"),
+    ])
+    def test_bad_grid_size_rejected(self, kind, N, message):
+        fields = dict(kind=kind, clump_spec=pair_spec(M=100), alphas=(0.5,), sigmas=(0.1,),
+                      M=100, L=50)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**fields, N=N)
+        # The smallest grid each kind accepts: music's 8*M for phase-transition, else 1.
+        ExperimentConfig(**fields, N=800 if kind == "phase-transition" else 1)
+
     def test_defaults_resolved(self):
         config = ExperimentConfig(
             kind="phase-transition",
