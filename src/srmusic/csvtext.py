@@ -3,6 +3,10 @@
 A float is written as its repr and an integer as its str, with CRLF line
 ends. write_csv formats whole columns with numpy instead of one Python call
 per value: the imaging grid of srmusic music has 3N floats, N = 16M.
+A float's 17 digits are a lead digit and four quads of 4 digits, each read
+from a table of the text of 0..9999 (digit tables as in Adams, "Ryu", PLDI
+2018). A quad whose later quads are all zero is read from a second table in
+which its trailing zeros are NUL, and every NUL is dropped from the text.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ _POW10 = np.array([float(10**k) for k in range(21)])  # each one exact
 _VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
 _POW10_HI = _VELTKAMP * _POW10 - (_VELTKAMP * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
-_DIGIT_PAIRS = np.array([f"{i:02d}".encode() for i in range(100)]).view(np.uint16)
 # The distances _shortest_mantissa compares are exact doubles, so only exact
 # ties decide wrongly; any decision this close to its threshold is left to repr.
 _REPR_MARGIN = 1e-9
@@ -76,41 +79,70 @@ def _shortest_mantissa(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return c, 16 - k, exact
 
 
+def _quad_table() -> np.ndarray:
+    """The ASCII text of 0..9999 as uint32 words, then of the same with trailing zeros NUL.
+
+    Entry q + 10^4 holds the digits of q up to its last nonzero one, so
+    entry 10^4 (q = 0) is four NULs.
+    """
+    q = np.arange(10**4, dtype=np.uint16)[:, None]  # 16 bits keep the temporaries small
+    scale = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    text = (q // scale % 10).astype(np.uint8) + ord("0")
+    trimmed = np.where(q % (10 * scale) == 0, 0, text)
+    return np.concatenate([text, trimmed]).view(np.uint32).ravel()
+
+
+_QUADS = _quad_table()
+_ROW = np.dtype((np.void, REPR_WIDTH))  # one row of text, moved as one item
+
+
 def _repr_into(x: np.ndarray, out: np.ndarray) -> None:
     """Write repr(float(v)) of each element of x into the rows of out, NUL padded.
 
-    out is a uint8 array of shape (len(x), REPR_WIDTH). Digits come
-    from the S2 table of digit pairs; rows are grouped by decimal exponent,
-    so that each group is laid out with slices. Elements that
-    _shortest_mantissa cannot certify get repr itself.
+    out is a uint8 array of shape (len(x), REPR_WIDTH). c splits once by
+    10^8 into two uint32 halves, and each half by 10^4 into quads; with the
+    lead digit, the 17 digits fill bytes 7 to 23 of a row. A quad whose
+    later quads are all zero is read from the half of _QUADS with trailing
+    zeros NUL. Rows are grouped by decimal exponent and each group is laid
+    out in place: "0." and zeros go before the digits, or the digits before
+    the point move one byte left. The zeros that repr keeps there and right
+    after the point, as in 100.0, are restored by OR with '0', which leaves
+    a digit as it is. Elements that _shortest_mantissa cannot certify get
+    repr itself.
     """
     n = len(x)
     c, e10, exact = _shortest_mantissa(np.abs(x))
+    e10 = e10.astype(np.int8)
     order = np.argsort(e10, kind="stable")
     c, e10 = c[order], e10[order]
-    pairs = np.empty((n, 9), dtype=np.uint16)
-    for j in range(8, -1, -1):
-        c, rem = np.divmod(c, 100)
-        pairs[:, j] = _DIGIT_PAIRS[rem]
-    digits = pairs.view(np.uint8)[:, 1:]
-    # Trailing zeros are dropped, except before the point and right after it.
-    significant = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    keep = np.maximum(significant, e10 + 2).astype(np.uint8)
-    digits = digits * (np.arange(17, dtype=np.uint8) < keep[:, None])
-    text = np.zeros((n, REPR_WIDTH), dtype=np.uint8)
+    top = (c // 10**8).astype(np.uint32)  # the lead digit and 8 digits
+    bottom = (c - top.astype(np.int64) * 10**8).astype(np.uint32)
+    lead = top // 10**8
+    top -= lead * np.uint32(10**8)
+    words = np.empty((n, REPR_WIDTH // 4), dtype=np.uint32)
+    words[:, :2] = 0
+    trim = np.full(n, 10**4, dtype=np.uint32)  # _QUADS offset while the later quads are 0
+    for j, half in ((5, bottom), (3, top)):
+        high = half // 10**4
+        low = half - high * np.uint32(10**4)
+        words[:, j] = _QUADS.take(low + trim)
+        trim *= low == 0
+        words[:, j - 1] = _QUADS.take(high + trim)
+        trim *= high == 0
+    text = words.view(np.uint8)
+    text[:, 7] = lead + ord("0")
     bounds = np.searchsorted(e10, np.arange(-4, 17))
     for e, lo, hi in zip(range(-4, 16), bounds[:-1], bounds[1:]):
-        group, d = text[lo:hi, 1:], digits[lo:hi]
+        if lo == hi:
+            continue
+        group = text[lo:hi]
         if e < 0:
-            zeros = 1 - e  # "0." and -e-1 zeros
-            group[:, :zeros] = ord("0")
-            group[:, 1] = ord(".")
-            group[:, zeros:zeros + 17] = d
+            group[:, 6 + e:7] = ord("0")  # "0." and -e-1 zeros
         else:
-            group[:, :e + 1] = d[:, :e + 1]
-            group[:, e + 1] = ord(".")
-            group[:, e + 2:18] = d[:, e + 1:]
-    out[order] = text
+            np.bitwise_or(group[:, 7:8 + e], ord("0"), out=group[:, 6:7 + e])
+            group[:, 8 + e] |= ord("0")
+        group[:, 7 + e] = ord(".")
+    out.view(_ROW)[order] = text.view(_ROW)
     out[:, 0] = np.where(x < 0, ord("-"), 0)
     slow = np.flatnonzero(~exact)
     if len(slow):
@@ -121,8 +153,14 @@ def _repr_into(x: np.ndarray, out: np.ndarray) -> None:
 def write_csv(path, header: str, columns: list[np.ndarray]) -> None:
     """Write columns as CSV rows with CRLF line ends, as csv.writer writes them.
 
-    A float column holds repr of its values, an integer column str.
+    A float column holds repr of its values, an integer column str. The
+    header names one field per column, and the columns have one length.
     """
+    if len(header.split(",")) != len(columns):
+        raise ValueError(f"header {header!r} does not name {len(columns)} columns")
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal lengths {sorted(lengths)}")
     fields = [
         col.astype("S") if col.dtype.kind in "iu" else np.asarray(col, dtype=float)
         for col in columns
