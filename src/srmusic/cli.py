@@ -290,7 +290,9 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="ExperimentConfig JSON (or a manifest)")
         p.add_argument("--seed", type=int, default=None, help="override the config base seed")
-        p.add_argument("--jobs", type=_jobs, default=_usable_cpus())
+        p.add_argument("--jobs", type=_jobs, default=_usable_cpus(),
+                       help="worker threads for phase-transition and perturbation-check "
+                            "(default: usable CPUs); other kinds run in one thread")
         p.add_argument("--out", default="runs")
         p.set_defaults(func=lambda a, kinds=kinds: _run_campaign(a, kinds))
 

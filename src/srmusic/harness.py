@@ -148,6 +148,8 @@ class ExperimentConfig:
             raise ValueError(f"M = {self.M} disagrees with clump_spec M = {self.clump_spec.M}")
         if self.N is not None and self.N < 1:
             raise ValueError(f"N must be at least 1, got {self.N}")
+        if self.N is not None and not kind.grid:
+            raise ValueError(f"{self.kind} has no imaging grid, so N must be null, got {self.N}")
         if self.L is not None and not 0 <= self.L <= self.resolved_m:
             raise ValueError(f"L = {self.L} outside [0, M] = [0, {self.resolved_m}]")
         if self.clump_spec is not None:
@@ -235,7 +237,11 @@ class CampaignKind:
     seed) -> values. finish: fills values that depend on every record.
     columns: its CSV columns; with "error" among them a failing trial is
     recorded with success False instead of aborting the campaign.
-    summary: (records, config) -> the kind's summary keys.
+    summary: (records, config) -> the kind's summary keys. grid: its trials
+    read the config's grid size N; the other kinds reject one. threads: its
+    cells run on the run's job threads, as its trials spend their time in
+    dense LAPACK splits that release the GIL; the other kinds' trials make
+    many short numpy calls, on which two threads ran slower than one.
     """
 
     requires: tuple[str, ...]
@@ -245,6 +251,8 @@ class CampaignKind:
     summary: Callable[[Sequence[ExperimentRecord], ExperimentConfig], dict]
     check: Callable[[ExperimentConfig], None] | None = None
     finish: Callable[[list[ExperimentRecord]], None] | None = None
+    grid: bool = False
+    threads: bool = False
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRecord]:
@@ -252,7 +260,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
 
     Cells run over (alpha index, sigma index, trial), outermost first; an
     index is 0 when its axis does not index the kind's cells. Cell
-    (ia, isig, t) draws from the seed (base_seed, ia, isig, t).
+    (ia, isig, t) draws from the seed (base_seed, ia, isig, t). jobs threads
+    run the cells of phase-transition and perturbation-check (the kinds
+    that set threads); the other kinds run in the calling thread.
     """
     kind = CAMPAIGN_KINDS[config.kind]
     trial = kind.prepare(config)
@@ -282,7 +292,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
         range(len(config.sigmas)) if swept_sigma else (0,),
         range(config.trials_per_cell),
     ))
-    records = _map_cells(cell, cells, max(1, jobs))
+    records = _map_cells(cell, cells, max(1, jobs) if kind.threads else 1)
     if kind.finish is not None:
         kind.finish(records)
     return records
@@ -575,6 +585,8 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
             "success", "error",
         ),
         summary=_perturbation_summary,
+        grid=True,
+        threads=True,
     ),
     "concentration": CampaignKind(
         requires=("sigmas", "M", "L"),
@@ -599,6 +611,8 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
                 config.amplitude_model.nominal_x_min,
             ))
         },
+        grid=True,
+        threads=True,
     ),
 }
 

@@ -448,6 +448,9 @@ class TestCampaigns:
          {"kind": "perturbation-check", "sigmas": [0.1], "N": 0,
           "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=100))},
          "error: N must be at least 1, got 0"),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "N": 7},
+         "error: concentration has no imaging grid, so N must be null, got 7"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

@@ -127,14 +127,19 @@ class TestExperimentConfig:
         ("perturbation-check", 0, "N must be at least 1, got 0"),
         ("phase-transition", -3, "N must be at least 1, got -3"),
         ("phase-transition", 799, "grid resolution 799 below 8*M = 800"),
+        ("concentration", 7, "concentration has no imaging grid, so N must be null, got 7"),
+        ("sigma-min-sweep", 1600, "sigma-min-sweep has no imaging grid, so N must be null"),
+        ("upper-bound-sweep", 1600, "upper-bound-sweep has no imaging grid, so N must be null"),
     ])
     def test_bad_grid_size_rejected(self, kind, N, message):
         fields = dict(kind=kind, clump_spec=pair_spec(M=100), alphas=(0.5,), sigmas=(0.1,),
-                      M=100, L=50)
+                      M=100, L=50, S=3)
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(**fields, N=N)
-        # The smallest grid each kind accepts: music's 8*M for phase-transition, else 1.
-        ExperimentConfig(**fields, N=800 if kind == "phase-transition" else 1)
+        # The smallest grid each kind accepts: music's 8*M for phase-transition,
+        # 1 for perturbation-check, and only a null N for the kinds without a grid.
+        ExperimentConfig(**fields, N={"phase-transition": 800,
+                                      "perturbation-check": 1}.get(kind))
 
     def test_defaults_resolved(self):
         config = ExperimentConfig(
@@ -525,6 +530,21 @@ class TestCampaignTable:
             assert [row["error"] for row in csv.DictReader(fh)] == [""] * 4
         assert p1["csv"].read_bytes() == p2["csv"].read_bytes()
         assert p1["summary"].read_bytes() == p2["summary"].read_bytes()
+
+    @pytest.mark.parametrize("kind", sorted(TINY_CONFIGS))
+    def test_threads_only_for_dense_split_kinds(self, kind, monkeypatch):
+        import srmusic.harness as harness
+
+        pools = []
+
+        class SpyPool(harness.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
+        run_experiment(ExperimentConfig(kind=kind, **TINY_CONFIGS[kind]), jobs=2)
+        assert len(pools) == (kind in ("perturbation-check", "phase-transition"))
 
     def test_sigma_min_sweep_row(self, tmp_path):
         config = ExperimentConfig(kind="sigma-min-sweep", **TINY_CONFIGS["sigma-min-sweep"])
