@@ -104,7 +104,7 @@ class HankelOperator:
 
 def _hankel_array(y: np.ndarray, L: int) -> np.ndarray:
     # The L+1 windows y[i : i + M-L+1]; the copy makes them a C-ordered array.
-    return np.lib.stride_tricks.sliding_window_view(y, len(y) - L).copy()
+    return np.lib.stride_tricks.as_strided(y, (L + 1, len(y) - L), y.strides * 2).copy()
 
 
 def vandermonde(omega: SupportSet, M: int) -> np.ndarray:

@@ -150,6 +150,8 @@ class ExperimentConfig:
             raise ValueError(f"N must be at least 1, got {self.N}")
         if self.N is not None and not kind.grid:
             raise ValueError(f"{self.kind} has no imaging grid, so N must be null, got {self.N}")
+        if self.L is not None and not (kind.grid or "L" in kind.requires):
+            raise ValueError(f"{self.kind} has no Hankel matrix, so L must be null, got {self.L}")
         if self.L is not None and not 0 <= self.L <= self.resolved_m:
             raise ValueError(f"L = {self.L} outside [0, M] = [0, {self.resolved_m}]")
         if self.clump_spec is not None:
@@ -238,10 +240,11 @@ class CampaignKind:
     columns: its CSV columns; with "error" among them a failing trial is
     recorded with success False instead of aborting the campaign.
     summary: (records, config) -> the kind's summary keys. grid: its trials
-    read the config's grid size N; the other kinds reject one. threads: its
-    cells run on the run's job threads, as its trials spend their time in
-    dense LAPACK splits that release the GIL; the other kinds' trials make
-    many short numpy calls, on which two threads ran slower than one.
+    read the config's grid size N; the other kinds reject one, and L unless
+    they require it. threads: its cells run on the run's job threads, as
+    its trials spend their time in dense LAPACK splits that release the
+    GIL; the other kinds' trials make many short numpy calls, on which two
+    threads ran slower than one.
     """
 
     requires: tuple[str, ...]
@@ -432,10 +435,11 @@ def _phase_transition(config: ExperimentConfig) -> Callable[..., dict]:
     L = config.resolved_l
     N = config.resolved_n
     S = spec.total_points
+    specs = {alpha: replace(spec, alpha=alpha) for alpha in config.alphas}
 
     def trial(alpha, sigma, seed):
         rng = np.random.default_rng(seed)
-        support, _ = generate_clumps(replace(spec, alpha=alpha), seed=rng)
+        support, _ = generate_clumps(specs[alpha], seed=rng)
         _, y0, eta = synthesize(support, M, sigma, rng, config.amplitude_model,
                                 config.noise_kind)
         estimate = music_estimate(y0 + eta, S=S, L=L, N=N, refine=True)

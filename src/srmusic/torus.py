@@ -136,7 +136,7 @@ def min_separation(omega: SupportSet) -> float:
     """Smallest pairwise wrap-around distance; needs at least two points."""
     if omega.size < 2:
         raise ValueError("minimum separation is undefined for a single point")
-    return float(_circular_gaps(omega.as_array()).min())
+    return min(_circular_gaps(omega.points))
 
 
 def super_resolution_factor(M: int, delta: float) -> float:
@@ -234,9 +234,9 @@ class ClumpPartition:
         return max(self.clump_sizes)
 
 
-def _circular_gaps(pts: np.ndarray) -> np.ndarray:
+def _circular_gaps(pts: tuple[float, ...]) -> list[float]:
     """gaps[i] = arc from pts[i] up to the next point (the last wraps)."""
-    return np.diff(np.append(pts, pts[0] + 1.0))
+    return [b - a for a, b in zip(pts, (*pts[1:], pts[0] + 1.0))]
 
 
 def validate_clumps(
@@ -253,14 +253,14 @@ def validate_clumps(
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
-    pts = omega.as_array()
+    pts = omega.points
     S = omega.size
+    gaps = _circular_gaps(pts)
 
     if S == 1:
         clumps = ((0,),)
     else:
-        gaps = _circular_gaps(pts)
-        start = (int(np.argmax(gaps)) + 1) % S
+        start = (gaps.index(max(gaps)) + 1) % S
         order = [(start + k) % S for k in range(S)]
         # Unrolled coordinates from the cut point are nondecreasing.
         u = [(pts[i] - pts[start]) % 1.0 for i in order]
@@ -275,7 +275,7 @@ def validate_clumps(
         clumps = tuple(tuple(c) for c in clump_lists)
 
     if S >= 2:
-        delta = min_separation(omega)
+        delta = min(gaps)
         if delta < (alpha / M) * (1.0 - GEOM_RTOL):
             raise SeparationViolation(
                 f"minimum separation {delta:.6g} below alpha/M = {alpha / M:.6g}"
@@ -292,8 +292,8 @@ def validate_clumps(
     if len(clumps) > 1:
         # Clumps are contiguous arcs, so the closest pair of clumps is the
         # smallest gap after a clump's last point.
-        gaps = _circular_gaps(pts)[[c[-1] for c in clumps]]
-        i = int(np.argmin(gaps))
+        gaps = [gaps[c[-1]] for c in clumps]
+        i = gaps.index(min(gaps))
         if gaps[i] < (beta / M) * (1.0 - GEOM_RTOL):
             raise InterClumpGapViolation(
                 f"clumps {i} and {(i + 1) % len(clumps)} are {gaps[i]:.6g} apart, "

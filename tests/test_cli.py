@@ -451,6 +451,10 @@ class TestCampaigns:
         ("concentration",
          {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "N": 7},
          "error: concentration has no imaging grid, so N must be null, got 7"),
+        ("bounds-sweep",
+         {"kind": "sigma-min-sweep", "alphas": [0.5, 0.4], "L": 7,
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=60))},
+         "error: sigma-min-sweep has no Hankel matrix, so L must be null, got 7"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

@@ -132,14 +132,24 @@ class TestExperimentConfig:
         ("upper-bound-sweep", 1600, "upper-bound-sweep has no imaging grid, so N must be null"),
     ])
     def test_bad_grid_size_rejected(self, kind, N, message):
+        # The sweeps build no Hankel matrix, so they take no L either.
         fields = dict(kind=kind, clump_spec=pair_spec(M=100), alphas=(0.5,), sigmas=(0.1,),
-                      M=100, L=50, S=3)
+                      M=100, L=None if kind.endswith("-sweep") else 50, S=3)
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(**fields, N=N)
         # The smallest grid each kind accepts: music's 8*M for phase-transition,
         # 1 for perturbation-check, and only a null N for the kinds without a grid.
         ExperimentConfig(**fields, N={"phase-transition": 800,
                                       "perturbation-check": 1}.get(kind))
+
+    @pytest.mark.parametrize("kind", ["sigma-min-sweep", "upper-bound-sweep"])
+    def test_split_size_rejected_on_sweeps(self, kind):
+        # L would enter the config hash, and so the run directory, unread.
+        fields = dict(kind=kind, clump_spec=pair_spec(M=100), alphas=(0.5,), S=3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} has no Hankel matrix, so L must be null, got 7")):
+            ExperimentConfig(**fields, L=7)
+        assert ExperimentConfig(**fields).L is None
 
     def test_defaults_resolved(self):
         config = ExperimentConfig(

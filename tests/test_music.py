@@ -18,6 +18,7 @@ from srmusic.music import (
     ImagingGrid,
     RankDeficientError,
     UnderdeterminedPeaksError,
+    _bluestein_kernel,
     _circular_local_maxima,
     _energy_coefficients,
     _energy_slopes,
@@ -145,6 +146,26 @@ def hill_scan_loop(correlation, j, S):
             if a > 0 and a + k <= last and fine_j[m] > threshold:
                 candidates.append((fine_j[m], fine[m], fine[a - 1], fine[a + k]))
     return candidates
+
+
+def zoom_correlation_uncached(q, N, hills):
+    """Reference for _zoom_correlation: every chirp and the kernel's FFT made afresh."""
+    rows, P = len(q), HILL_OVERSAMPLING * N
+    counts = [HILL_OVERSAMPLING * (hi - lo) + 1 for lo, hi in hills]
+    nfft = 1 << (rows + max(counts) - 2).bit_length()
+
+    def chirp(t):
+        return np.exp(-1j * np.pi * ((t % (2 * P)) / P))
+
+    j = np.arange(-(rows - 1), max(counts))
+    kernel = np.zeros(nfft, dtype=complex)
+    kernel[j % nfft] = chirp(-j * j)
+    l = np.arange(rows)
+    a = q * chirp(l * (l + 2 * HILL_OVERSAMPLING * np.array([lo for lo, _ in hills])[:, None]))
+    conv = np.fft.ifft(np.fft.fft(a, n=nfft, axis=-1) * np.fft.fft(kernel), axis=-1)
+    sums = conv[:, :max(counts)] * chirp(j[rows - 1:] ** 2)
+    energy = np.concatenate([e[:k].real for e, k in zip(sums, counts)]) / rows
+    return np.sqrt(np.clip(1.0 - energy, 0.0, 1.0))
 
 
 def dense_reference_estimate(y, S, L, N):
@@ -286,6 +307,16 @@ class TestCircularLocalMaxima:
         values = np.array(values)
         assert list(zip(*_circular_local_maxima(values))) == circular_local_maxima_loop(values)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_plateau_across_the_seam_matches_loop_reference(self, seed):
+        # A run of equal values split between the end and the start of the
+        # array, beside lower, higher or equal neighbors and other plateaus.
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 4, size=int(rng.integers(3, 30))).astype(float)
+        head, tail = int(rng.integers(1, len(values))), int(rng.integers(1, len(values)))
+        values[:head] = values[-tail:] = rng.choice([values.max() + 1, values.min(), 2.0])
+        assert list(zip(*_circular_local_maxima(values))) == circular_local_maxima_loop(values)
+
 
 class TestSignalSpaceFastPaths:
     """The signal-space paths of music_estimate against the noise-space form."""
@@ -329,6 +360,15 @@ class TestSignalSpaceFastPaths:
         energy = np.linalg.norm(U.conj().T @ phi, axis=0) ** 2
         assert np.max(np.abs((q @ phi).real - energy)) <= 1e-12 * (L + 1)
 
+    # The zero-padded FFT of q from N = L+1 on; the folded FFT below that.
+    @pytest.mark.parametrize("N", [7, 40, 50, 51, 52, 64, 803, 1600])
+    def test_grid_fft_is_the_folded_fft(self, N):
+        y = noisy_measurements([0.05, 0.062, 0.7], 100, 0.05, seed=N)
+        q = _energy_coefficients(signal_space(y, 3, 50))
+        folded = np.pad(q, (0, -len(q) % N)).reshape(-1, N).sum(axis=0)
+        reference = np.sqrt(np.clip(1.0 - np.fft.fft(folded).real / len(q), 0.0, 1.0))
+        assert np.array_equal(_grid_correlation(q, N), reference)
+
     # Grids coarser than the L+1 = 51 Hankel rows, where lags alias mod N.
     @pytest.mark.parametrize("N", [40, 51])
     def test_coarse_grid_matches_dense_scan(self, N):
@@ -362,6 +402,20 @@ class TestSignalSpaceFastPaths:
         r_fast = 1.0 / np.array([c[0] for c in fast])
         r_ref = 1.0 / np.array([c[0] for c in ref])
         assert np.max(np.abs(r_fast - r_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("points, M, L, N", FAST_PATH_CASES)
+    def test_zoom_with_cold_and_warm_kernel_equals_uncached(self, points, M, L, N):
+        # The same bytes whether _bluestein_kernel computes the kernel or
+        # returns it from its cache.
+        y = noisy_measurements([(p / M) % 1.0 for p in points], M, 0.05, seed=M + L)
+        S = len(points)
+        q = _energy_coefficients(signal_space(y, S, L))
+        hills = largest_hills(music_estimate(y, S=S, L=L, N=N).grid.values_J, S)
+        reference = zoom_correlation_uncached(q, N, hills)
+        _bluestein_kernel.cache_clear()
+        assert np.array_equal(_zoom_correlation(q, N, hills), reference)
+        assert np.array_equal(_zoom_correlation(q, N, hills), reference)
+        assert _bluestein_kernel.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 class TestRefinePeaks:
@@ -708,6 +762,17 @@ class TestMatchSupports:
             for perm in itertools.permutations(b.points)
         )
         assert match_supports(a, b) == pytest.approx(brute)
+
+    @pytest.mark.parametrize("S", range(1, 7))
+    def test_equals_search_over_all_bijections(self, S):
+        # Points near both sides of the 0/1 cut, so some alignments wrap.
+        rng = np.random.default_rng(S)
+        for _ in range(50):
+            a, b = (SupportSet(rng.uniform(-0.1, 0.1, S) % 1.0 if rng.uniform() < 0.5
+                               else rng.uniform(size=S)) for _ in range(2))
+            brute = min(max(torus_distance(p, q) for p, q in zip(a.points, perm))
+                        for perm in itertools.permutations(b.points))
+            assert match_supports(a, b) == brute
 
     @given(st.lists(st.floats(0.0, 0.999, allow_nan=False), min_size=2, max_size=5,
                     unique=True),
