@@ -10,6 +10,7 @@ validation error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -220,12 +221,13 @@ def _run_campaign(args, expected_kinds: tuple[str, ...]) -> int:
         )
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
-    records = run_experiment(config, jobs=args.jobs)
+    jobs = args.jobs or _usable_cpus()
+    records = run_experiment(config, jobs=jobs)
     paths = save_records(records, config, args.out)
     config.save(paths["dir"] / "config.json")
     _write_manifest(paths["dir"], config.kind, args,
                     [paths["csv"].name, paths["summary"].name, "config.json"],
-                    config=config.to_dict(), seed=config.base_seed)
+                    config=config.to_dict(), seed=config.base_seed, jobs=jobs)
     failures = [r for r in records if r.error]
     print(f"{config.kind}: {len(records)} records -> {paths['csv']}")
     if failures:
@@ -257,7 +259,9 @@ def _print_headlines(summary: dict) -> None:
             print(f"  log-log slope of level90 vs SRF: {slope:.3f}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument tree, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="srmusic", description=__doc__)
     parser.add_argument("--version", action="version", version=srmusic.__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
@@ -290,7 +294,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="ExperimentConfig JSON (or a manifest)")
         p.add_argument("--seed", type=int, default=None, help="override the config base seed")
-        p.add_argument("--jobs", type=_jobs, default=_usable_cpus(),
+        p.add_argument("--jobs", type=_jobs,
                        help="worker threads for phase-transition and perturbation-check "
                             "(default: usable CPUs); other kinds run in one thread")
         p.add_argument("--out", default="runs")

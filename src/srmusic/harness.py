@@ -3,8 +3,8 @@
 Five campaign kinds: sigma-min sweeps over the spacing factor, upper-bound
 witness sweeps, Wedin perturbation checks, Hankel noise concentration, and
 full MUSIC phase transitions over an (SRF, sigma) grid. CAMPAIGN_KINDS
-describes each kind in one entry: the config fields it requires, the axes
-that index its cells, its trial, its CSV columns and its summary.
+describes each kind in one entry: the config fields it requires (alphas and
+sigmas among them index its cells), its trial, its CSV columns and summary.
 rate_table counts any per-trial success rule over the (SRF, sigma) cells.
 Every record's RNG stream derives from (base_seed, cell index), so
 campaigns are reproducible and parallel safe; CSV output contains no
@@ -34,7 +34,7 @@ from srmusic.bounds import (
 from srmusic.fourier import hankel, sigma_min, spectral_norm, svd_split, vandermonde
 from srmusic.music import (
     DEFAULT_GRID_FACTOR,
-    MIN_GRID_FACTOR,
+    check_grid,
     correlation_sup_diff,
     match_supports,
     music_estimate,
@@ -70,7 +70,7 @@ class AmplitudeModel:
             if self.modulus_range is None:
                 raise ValueError("random-modulus needs a (lo, hi) modulus range")
             lo, hi = self.modulus_range
-            if not (0 < lo <= hi):
+            if not (0 < lo <= hi < np.inf):
                 raise ValueError(f"bad modulus range ({lo}, {hi})")
             object.__setattr__(self, "modulus_range", (float(lo), float(hi)))
 
@@ -130,8 +130,8 @@ class ExperimentConfig:
             raise ValueError("trials_per_cell must be at least 1")
         if self.base_seed < 0:
             raise ValueError("base_seed must be nonnegative")
-        if not all(s >= 0 for s in self.sigmas):
-            raise ValueError(f"sigmas must be nonnegative, got {list(self.sigmas)}")
+        if not all(0 <= s < np.inf for s in self.sigmas):
+            raise ValueError(f"sigmas must be nonnegative and finite, got {list(self.sigmas)}")
         for name in ("alphas", "sigmas"):
             values = getattr(self, name)
             for i, value in enumerate(values):
@@ -148,9 +148,9 @@ class ExperimentConfig:
             raise ValueError(f"M = {self.M} disagrees with clump_spec M = {self.clump_spec.M}")
         if self.N is not None and self.N < 1:
             raise ValueError(f"N must be at least 1, got {self.N}")
-        if self.N is not None and not kind.grid:
+        if self.N is not None and not kind.subspace:
             raise ValueError(f"{self.kind} has no imaging grid, so N must be null, got {self.N}")
-        if self.L is not None and not (kind.grid or "L" in kind.requires):
+        if self.L is not None and not (kind.subspace or "L" in kind.requires):
             raise ValueError(f"{self.kind} has no Hankel matrix, so L must be null, got {self.L}")
         if self.L is not None and not 0 <= self.L <= self.resolved_m:
             raise ValueError(f"L = {self.L} outside [0, M] = [0, {self.resolved_m}]")
@@ -160,6 +160,10 @@ class ExperimentConfig:
                     replace(self.clump_spec, alpha=alpha)
                 except ValueError as exc:
                     raise ValueError(f"alphas entry {alpha}: {exc}") from None
+        if kind.subspace:
+            S, L, M = self.clump_spec.total_points, self.resolved_l, self.resolved_m
+            if not S <= L <= M + 1 - S:
+                raise ValueError(f"{self.kind} needs S <= L <= M+1-S, got S={S}, L={L}, M={M}")
         if kind.check is not None:
             kind.check(self)
 
@@ -233,44 +237,42 @@ class ExperimentRecord:
 class CampaignKind:
     """Everything one campaign kind adds to the generic runner, writer and summary.
 
-    requires: config fields that must be set. check: the kind's own config
-    checks, raising ValueError. axes: which of "alphas" and "sigmas" index
-    its cells. prepare: per-campaign setup, config -> trial(alpha, sigma,
-    seed) -> values. finish: fills values that depend on every record.
-    columns: its CSV columns; with "error" among them a failing trial is
-    recorded with success False instead of aborting the campaign.
-    summary: (records, config) -> the kind's summary keys. grid: its trials
-    read the config's grid size N; the other kinds reject one, and L unless
-    they require it. threads: its cells run on the run's job threads, as
-    its trials spend their time in dense LAPACK splits that release the
-    GIL; the other kinds' trials make many short numpy calls, on which two
-    threads ran slower than one.
+    requires: config fields that must be set; those of "alphas" and
+    "sigmas" among them index its cells. check: the kind's own config
+    checks, raising ValueError. prepare: per-campaign setup, config ->
+    trial(alpha, sigma, seed) -> values. finish: fills values that depend
+    on every record. columns: its CSV columns; with "error" among them a
+    failing trial is recorded with success False instead of aborting the
+    campaign. summary: (records, config) -> the kind's summary keys.
+    subspace: its trials split a Hankel matrix at rank S and read R on the
+    N-point grid, so the config must have S <= L <= M+1-S, and its cells
+    run on the run's job threads, as dense LAPACK splits release the GIL;
+    the other kinds reject N, and L unless they require it, and run in one
+    thread, as their many short numpy calls ran slower on two.
     """
 
     requires: tuple[str, ...]
-    axes: tuple[str, ...]
     prepare: Callable[[ExperimentConfig], Callable[..., dict]]
     columns: tuple[str, ...]
     summary: Callable[[Sequence[ExperimentRecord], ExperimentConfig], dict]
     check: Callable[[ExperimentConfig], None] | None = None
     finish: Callable[[list[ExperimentRecord]], None] | None = None
-    grid: bool = False
-    threads: bool = False
+    subspace: bool = False
 
 
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRecord]:
     """Execute a campaign; returns one record per trial, in grid order.
 
     Cells run over (alpha index, sigma index, trial), outermost first; an
-    index is 0 when its axis does not index the kind's cells. Cell
+    index is 0 when the kind does not require that axis's field. Cell
     (ia, isig, t) draws from the seed (base_seed, ia, isig, t). jobs threads
-    run the cells of phase-transition and perturbation-check (the kinds
-    that set threads); the other kinds run in the calling thread.
+    run the cells of phase-transition and perturbation-check (the subspace
+    kinds); the other kinds run in the calling thread.
     """
     kind = CAMPAIGN_KINDS[config.kind]
     trial = kind.prepare(config)
-    swept_alpha = "alphas" in kind.axes
-    swept_sigma = "sigmas" in kind.axes
+    swept_alpha = "alphas" in kind.requires
+    swept_sigma = "sigmas" in kind.requires
     spec_alpha = None if config.clump_spec is None else config.clump_spec.alpha
 
     def cell(coords):
@@ -295,7 +297,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> list[ExperimentRe
         range(len(config.sigmas)) if swept_sigma else (0,),
         range(config.trials_per_cell),
     ))
-    records = _map_cells(cell, cells, max(1, jobs) if kind.threads else 1)
+    records = _map_cells(cell, cells, max(1, jobs) if kind.subspace else 1)
     if kind.finish is not None:
         kind.finish(records)
     return records
@@ -364,19 +366,6 @@ def synthesize(support: SupportSet, M: int, sigma: float, rng: np.random.Generat
     x = amplitude_model.sample(rng, support.size)
     y0 = vandermonde(support, M) @ x
     return x, y0, draw_noise(rng, sigma, noise_kind, M)
-
-
-def _check_hankel_split(config: ExperimentConfig) -> None:
-    S, L, M = config.clump_spec.total_points, config.resolved_l, config.resolved_m
-    if not S <= L <= M + 1 - S:
-        raise ValueError(f"{config.kind} needs S <= L <= M+1-S, got S={S}, L={L}, M={M}")
-
-
-def _check_phase_transition(config: ExperimentConfig) -> None:
-    _check_hankel_split(config)
-    N, M = config.resolved_n, config.resolved_m
-    if N < MIN_GRID_FACTOR * M:
-        raise ValueError(f"grid resolution {N} below {MIN_GRID_FACTOR}*M = {MIN_GRID_FACTOR * M}")
 
 
 def _perturbation_check(config: ExperimentConfig) -> Callable[..., dict]:
@@ -564,7 +553,6 @@ _SWEEP_COLUMNS = (
 CAMPAIGN_KINDS: dict[str, CampaignKind] = {
     "sigma-min-sweep": CampaignKind(
         requires=("clump_spec", "alphas"),
-        axes=("alphas",),
         prepare=_sigma_min_sweep,
         columns=_SWEEP_COLUMNS,
         summary=_sweep_summary,
@@ -572,7 +560,6 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
     "upper-bound-sweep": CampaignKind(
         requires=("clump_spec", "alphas", "S"),
         check=_check_single_clump,
-        axes=("alphas",),
         prepare=_upper_bound_sweep,
         finish=_fill_upper_bounds,
         columns=_SWEEP_COLUMNS,
@@ -580,8 +567,6 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
     ),
     "perturbation-check": CampaignKind(
         requires=("clump_spec", "sigmas"),
-        check=_check_hankel_split,
-        axes=("sigmas",),
         prepare=_perturbation_check,
         columns=(
             "alpha", "sigma", "trial", "seed", "hankel_noise_norm", "sigma_min_L",
@@ -589,13 +574,11 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
             "success", "error",
         ),
         summary=_perturbation_summary,
-        grid=True,
-        threads=True,
+        subspace=True,
     ),
     "concentration": CampaignKind(
         requires=("sigmas", "M", "L"),
         check=_check_positive_sigmas,
-        axes=("sigmas",),
         prepare=_concentration,
         columns=("sigma", "trial", "seed", "hankel_norm"),
         summary=lambda records, config: {
@@ -604,8 +587,7 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
     ),
     "phase-transition": CampaignKind(
         requires=("clump_spec", "alphas", "sigmas"),
-        check=_check_phase_transition,
-        axes=("alphas", "sigmas"),
+        check=lambda config: check_grid(config.resolved_n, config.resolved_m),
         prepare=_phase_transition,
         columns=("alpha", "srf", "sigma", "trial", "seed", "matched_error", "success",
                  "error"),
@@ -615,8 +597,7 @@ CAMPAIGN_KINDS: dict[str, CampaignKind] = {
                 config.amplitude_model.nominal_x_min,
             ))
         },
-        grid=True,
-        threads=True,
+        subspace=True,
     ),
 }
 

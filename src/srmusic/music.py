@@ -199,6 +199,12 @@ def _circular_local_maxima(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[is_max], ((nxt - starts) % len(values))[is_max]
 
 
+def check_grid(N: int, M: int) -> None:
+    """Reject an imaging grid coarser than MIN_GRID_FACTOR*M nodes."""
+    if N < MIN_GRID_FACTOR * M:
+        raise ValueError(f"grid resolution {N} below {MIN_GRID_FACTOR}*M = {MIN_GRID_FACTOR * M}")
+
+
 def music_estimate(
     y: np.ndarray,
     S: int,
@@ -234,8 +240,7 @@ def music_estimate(
         raise ValueError("S must be at least 1")
     if not (S <= L <= M + 1 - S):
         raise ValueError(f"need S <= L <= M+1-S, got S={S}, L={L}, M={M}")
-    if N < MIN_GRID_FACTOR * M:
-        raise ValueError(f"grid resolution {N} below {MIN_GRID_FACTOR}*M = {MIN_GRID_FACTOR * M}")
+    check_grid(N, M)
 
     split = svd_split(hankel(y, L), S)
     s = split.singular_values

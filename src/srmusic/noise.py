@@ -51,8 +51,8 @@ def draw_noise(rng: np.random.Generator, sigma: float, kind: str, M: int) -> np.
     so E|eta_m|^2 = sigma^2. sigma = 0 gives zeros without drawing, so the
     stream is left untouched.
     """
-    if not sigma >= 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     if kind not in NOISE_KINDS:
         raise ValueError(f"kind must be one of {NOISE_KINDS}, got {kind!r}")
     if sigma == 0:

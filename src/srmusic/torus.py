@@ -183,8 +183,8 @@ class ClumpSpec:
             )
         if any(lam < 1 for lam in self.clump_sizes):
             raise ValueError("every clump needs at least one point")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("alpha and beta must be positive and finite")
         if self.M < 1:
             raise ValueError("M must be a positive integer")
         if not (0.0 <= self.jitter <= 1.0):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srmusic.cli import CAMPAIGN_COMMANDS, build_parser, main
+from srmusic.cli import CAMPAIGN_COMMANDS, _usable_cpus, build_parser, main
 from srmusic.harness import ExperimentConfig
 from srmusic.music import load_measurements, save_measurements
 from srmusic.torus import ClumpSpec, SupportSet, from_fields
@@ -229,6 +229,13 @@ class TestMusic:
         assert "sigma must be nonnegative" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_infinite_sigma_exit_one(self, tmp_path, two_point_synth, capsys):
+        out = tmp_path / "run"
+        assert main(["music", "--synthesize", str(two_point_synth),
+                     "--sigma", "inf", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: sigma must be nonnegative and finite, got inf\n"
+        assert not out.exists()
+
     def test_manifest_records_blas_threads(self, tmp_path, two_point_synth, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -330,7 +337,7 @@ class TestCampaigns:
         import dataclasses
         effective = dataclasses.replace(config, base_seed=9)
         assert (out / effective.config_hash() / "concentration.csv").exists()
-        assert_manifest_options(out / effective.config_hash(), argv, seed=9)
+        assert_manifest_options(out / effective.config_hash(), argv, seed=9, jobs=_usable_cpus())
 
     def test_perturbation_at_zero_sigma(self, tmp_path, capsys):
         config = ExperimentConfig(
@@ -455,6 +462,31 @@ class TestCampaigns:
          {"kind": "sigma-min-sweep", "alphas": [0.5, 0.4], "L": 7,
           "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=60))},
          "error: sigma-min-sweep has no Hankel matrix, so L must be null, got 7"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [float("inf")],
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
+         "error: sigmas must be nonnegative and finite, got [inf]"),
+        ("perturbation",
+         {"kind": "perturbation-check", "sigmas": [0.1, float("inf")],
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
+         "error: sigmas must be nonnegative and finite, got [0.1, inf]"),
+        ("concentration",
+         {"kind": "concentration", "M": 30, "L": 15, "sigmas": [float("inf")]},
+         "error: sigmas must be nonnegative and finite, got [inf]"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [float("nan")], "sigmas": [0.1],
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
+         "error: alphas entry nan: alpha and beta must be positive and finite"),
+        ("bounds-sweep",
+         {"kind": "sigma-min-sweep", "alphas": [0.5, 0.4, 0.3, 0.2],
+          "clump_spec": dict(asdict(ClumpSpec(2, (2, 2), alpha=0.5, beta=1.0, M=60)),
+                             beta=float("inf"))},
+         "error: alpha and beta must be positive and finite"),
+        ("phase-transition",
+         {"kind": "phase-transition", "alphas": [0.5], "sigmas": [0.1],
+          "amplitude_model": {"kind": "random-modulus", "range": [0.5, float("inf")]},
+          "clump_spec": asdict(ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=50))},
+         "error: bad modulus range (0.5, inf)"),
     ])
     def test_bad_campaign_config_exit_one(self, tmp_path, capsys, subcommand, config, message):
         cfg_path = tmp_path / "cfg.json"

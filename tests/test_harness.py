@@ -52,6 +52,11 @@ class TestAmplitudeModel:
         with pytest.raises(ValueError):
             AmplitudeModel("random-modulus")
 
+    @pytest.mark.parametrize("hi", [np.inf, np.nan])
+    def test_non_finite_modulus_rejected(self, hi):
+        with pytest.raises(ValueError, match=re.escape(f"bad modulus range (0.5, {hi})")):
+            AmplitudeModel("random-modulus", modulus_range=(0.5, hi))
+
     @pytest.mark.parametrize("d, message", [
         (None, "amplitude_model must be a kind"),
         ({"kind": "random-modulus"}, "amplitude_model must be a kind"),
@@ -94,6 +99,21 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="sigmas must be nonnegative"):
             ExperimentConfig(kind=kind, clump_spec=pair_spec(), alphas=(0.5,),
                              sigmas=(0.1, -0.1), M=30, L=15)
+
+    @pytest.mark.parametrize("kind", ["perturbation-check", "concentration", "phase-transition"])
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_non_finite_sigma_rejected(self, kind, sigma):
+        with pytest.raises(ValueError, match=re.escape(
+                f"sigmas must be nonnegative and finite, got [0.1, {sigma}]")):
+            ExperimentConfig(kind=kind, clump_spec=pair_spec(), alphas=(0.5,),
+                             sigmas=(0.1, sigma), M=30, L=15)
+
+    @pytest.mark.parametrize("alpha", [np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match=re.escape(
+                f"alphas entry {alpha}: alpha and beta must be positive and finite")):
+            ExperimentConfig(kind="phase-transition", clump_spec=pair_spec(),
+                             alphas=(0.5, alpha), sigmas=(0.1,))
 
     @pytest.mark.parametrize("fields, message", [
         (dict(kind="phase-transition", clump_spec=pair_spec(), alphas=(0.5, 0.4, 0.5),
@@ -540,6 +560,44 @@ class TestCampaignTable:
             assert [row["error"] for row in csv.DictReader(fh)] == [""] * 4
         assert p1["csv"].read_bytes() == p2["csv"].read_bytes()
         assert p1["summary"].read_bytes() == p2["summary"].read_bytes()
+
+    # (alpha, sigma, trial, seed) of each record in order: cells run over
+    # (alpha index, sigma index, trial), an index is 0 on an axis the kind
+    # does not require, alpha is the spec's there and sigma None, and cell
+    # (ia, isig, t) draws from the seed (base_seed, ia, isig, t).
+    CELL_COORDINATES = {
+        "sigma-min-sweep": [
+            (0.5, None, 0, "3-0-0-0"), (0.5, None, 1, "3-0-0-1"),
+            (0.35, None, 0, "3-1-0-0"), (0.35, None, 1, "3-1-0-1"),
+            (0.25, None, 0, "3-2-0-0"), (0.25, None, 1, "3-2-0-1"),
+            (0.18, None, 0, "3-3-0-0"), (0.18, None, 1, "3-3-0-1"),
+        ],
+        "upper-bound-sweep": [
+            (0.08, None, 0, "3-0-0-0"), (0.08, None, 1, "3-0-0-1"),
+            (0.04, None, 0, "3-1-0-0"), (0.04, None, 1, "3-1-0-1"),
+        ],
+        "perturbation-check": [
+            (0.5, 0.05, 0, "3-0-0-0"), (0.5, 0.05, 1, "3-0-0-1"),
+            (0.5, 0.2, 0, "3-0-1-0"), (0.5, 0.2, 1, "3-0-1-1"),
+        ],
+        "concentration": [
+            (None, 0.5, 0, "3-0-0-0"), (None, 0.5, 1, "3-0-0-1"), (None, 0.5, 2, "3-0-0-2"),
+            (None, 1.0, 0, "3-0-1-0"), (None, 1.0, 1, "3-0-1-1"), (None, 1.0, 2, "3-0-1-2"),
+        ],
+        "phase-transition": [
+            (0.5, 0.0, 0, "3-0-0-0"), (0.5, 0.0, 1, "3-0-0-1"),
+            (0.5, 0.1, 0, "3-0-1-0"), (0.5, 0.1, 1, "3-0-1-1"),
+            (0.4, 0.0, 0, "3-1-0-0"), (0.4, 0.0, 1, "3-1-0-1"),
+            (0.4, 0.1, 0, "3-1-1-0"), (0.4, 0.1, 1, "3-1-1-1"),
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TINY_CONFIGS))
+    def test_cell_coordinates(self, kind):
+        config = ExperimentConfig(kind=kind, base_seed=3, **TINY_CONFIGS[kind])
+        records = run_experiment(config, jobs=2)
+        assert [(r.alpha, r.sigma, r.trial, r.seed) for r in records] == \
+            self.CELL_COORDINATES[kind]
 
     @pytest.mark.parametrize("kind", sorted(TINY_CONFIGS))
     def test_threads_only_for_dense_split_kinds(self, kind, monkeypatch):

@@ -81,6 +81,13 @@ class TestDrawNoise:
         with pytest.raises(ValueError, match="kind"):
             draw_noise(rng, 0.0, "uniform", 10)
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=f"sigma must be nonnegative and finite, got {sigma}"):
+            draw_noise(rng, sigma, "complex-circular", 10)
+        assert rng.uniform() == np.random.default_rng(0).uniform()
+
 
 class TestConcentrationConstant:
     def test_symmetric_midpoint(self):

@@ -288,3 +288,10 @@ class TestClumpSpecJson:
             ClumpSpec(1, (3,), alpha=0.6, beta=1.0, M=10)  # 0.6*2 > 1
         with pytest.raises(ValueError):
             ClumpSpec(1, (2,), alpha=0.5, beta=1.0, M=10, anchors=(1.2,))
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf), (0.0, 1.0),
+    ])
+    def test_alpha_and_beta_positive_and_finite(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must be positive and finite"):
+            ClumpSpec(2, (2, 2), alpha=alpha, beta=beta, M=10)
