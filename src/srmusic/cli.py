@@ -3,8 +3,8 @@
 Each run writes a manifest.json (parsed and resolved options, seed,
 artifact version, output names) beside its outputs, so any result can be
 reproduced from the directory alone. stdout carries human-readable
-summaries only; data goes to files. Exit codes: 0 success, 1 input or
-validation error, 2 numerical failure.
+summaries only; data goes to files. Exit codes: 0 success (a closed stdout
+included), 1 input or validation error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -314,7 +314,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # `| head`: the files are written; devnull takes the interpreter's last flush.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (np.linalg.LinAlgError, UnderdeterminedPeaksError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

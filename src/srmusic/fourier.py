@@ -6,10 +6,10 @@ DENSE_MAX. hankel does not form that one: it returns a HankelOperator that
 applies it by FFT, in real arithmetic where the data and the vector are
 real. One Golub-Kahan bidiagonalization (Golub & Kahan, SIAM J. Numer.
 Anal. 1965) then serves both iterative callers: spectral_norm takes the top
-Ritz value, and svd_split the top-S Ritz values and left Ritz vectors. Each
-falls back to the dense SVD of the formed matrix when the iteration does
-not settle the answer. A dense SVD of non-finite entries is refused before
-LAPACK sees it. Everything here is numpy alone.
+Ritz value, with no stored bases, and svd_split the top-S Ritz values and
+left Ritz vectors. Each falls back to the dense SVD of the formed matrix
+when the iteration does not settle the answer. hankel and sigma_min refuse
+non-finite data before LAPACK sees them. Everything here is numpy alone.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ DENSE_MAX = 384
 # Golub-Kahan bidiagonalization (_golub_kahan): every LANCZOS_CHECK_EVERY
 # steps the top Ritz pairs are accepted when each residual is at most
 # tol * theta_1; past LANCZOS_MAX_STEPS the matrix is formed. spectral_norm
-# takes tol = LANCZOS_TOL for its one pair, and svd_split
+# takes tol = LANCZOS_TOL for its one pair, with no stored bases, and svd_split
 # tol = RESIDUAL_TOL * eps for its S pairs, near the rounding floor of a
 # subspace residual, 1-7 eps * sigma_1 at M = 800-8000.
 LANCZOS_TOL = 1e-10
@@ -72,6 +72,7 @@ class HankelOperator:
         self._y = np.array(y)
         M = len(self._y) - 1
         self.shape = (L + 1, M - L + 1)
+        _require_finite(self._y, self.shape)
         self._n = 1 << M.bit_length()
         self._fft_y = np.fft.fft(self._y, self._n)
         self._fft_conj_y = np.fft.fft(self._y.conj(), self._n)
@@ -123,6 +124,7 @@ def hankel(y: np.ndarray, L: int) -> np.ndarray | HankelOperator:
     """(L+1) x (M-L+1) Hankel matrix y[i+j] of a measurement vector of length M+1.
 
     An ndarray while min(L+1, M-L+1) <= DENSE_MAX, a HankelOperator above.
+    Non-finite measurements raise LinAlgError here, once for every caller.
     """
     y = np.asarray(y)
     M = len(y) - 1
@@ -130,6 +132,7 @@ def hankel(y: np.ndarray, L: int) -> np.ndarray | HankelOperator:
         raise ValueError(f"L = {L} outside [0, {M}] for {M + 1} measurements")
     if min(L + 1, M - L + 1) > DENSE_MAX:
         return HankelOperator(y, L)
+    _require_finite(y, (L + 1, M - L + 1))
     return _hankel_array(y, L)
 
 
@@ -164,7 +167,7 @@ def svd_split(H: np.ndarray | HankelOperator, S: int) -> HankelSvd:
     return HankelSvd(signal_space=u[:, :S], singular_values=s[: S + 1])
 
 
-def _golub_kahan(H: HankelOperator, S: int, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _golub_kahan(H: HankelOperator, S: int, tol: float) -> tuple | None:
     """Ritz values of H and its top-S left Ritz vectors; None past the step cap.
 
     Runs on the shorter side (on H* when H is wide), in H.dtype, with full
@@ -175,6 +178,13 @@ def _golub_kahan(H: HankelOperator, S: int, tol: float) -> tuple[np.ndarray, np.
     accepted when the top S residuals are at most tol * theta_1. The left
     Ritz vectors are U_k p_i, or V_k q_i when the iteration runs on H*.
 
+    S = 0 asks for no vectors: the top pair is tested, None stands for the
+    vectors, and no bases are stored. Each new u and v is orthogonalized in
+    one pass against the previous one alone, which the recurrence removed
+    but for rounding. The lost orthogonality brings copies of converged Ritz
+    values but leaves theta_1 accurate to working precision (Paige, Linear
+    Algebra Appl. 1980).
+
     A zero alpha or beta (to rounding) means the Krylov spaces are
     invariant: the bidiagonal so far is H on them, and its values are
     singular values of H. They hold the top one unless the start vector is
@@ -183,16 +193,17 @@ def _golub_kahan(H: HankelOperator, S: int, tol: float) -> tuple[np.ndarray, np.
     periodic with period L+1), and from it the iteration would stop at once
     with that vector's singular value.
     """
-    _require_finite(H._y, H.shape)
     rows, cols = H.shape
     tall = cols <= rows
     apply, adjoint = (H.matvec, H.rmatvec) if tall else (H.rmatvec, H.matvec)
     n = min(rows, cols)
     eps = np.finfo(float).eps
+    vectors = S > 0
     # Room for 32 steps; the bases double as they fill, so they hold about
     # the steps taken.
-    V = np.empty((32, n), H.dtype)
-    U = np.empty((32, max(rows, cols)), H.dtype)
+    V = np.empty((32 if vectors else 1, n), H.dtype)
+    U = np.empty((len(V), max(rows, cols)), H.dtype)
+    passes = 2 if vectors else 1
     alphas, betas = [], []
     scale = 0.0
     # A fresh generator per call: the same start on every call and in every thread.
@@ -205,27 +216,34 @@ def _golub_kahan(H: HankelOperator, S: int, tol: float) -> tuple[np.ndarray, np.
         return V[: len(betas) + 1].T @ qh[:S].T
 
     for k in range(min(LANCZOS_MAX_STEPS, n)):
-        if k == len(V):
+        if vectors and k == len(V):
             V, U = (np.concatenate([A, np.empty_like(A)]) for A in (V, U))
-        V[k] = v
+        i = k if vectors else 0
+        V[i] = v
         u = apply(v)
         if k:
-            u -= betas[-1] * U[k - 1]
-        alpha = _orthogonalize(u, U[:k])
+            u -= betas[-1] * U[i - 1]
+        alpha = _orthogonalize(u, U[: min(k, len(U))], passes)
         scale = max(scale, alpha)
         if alpha <= eps * scale:
             break
         alphas.append(alpha)
-        U[k] = u / alpha
-        v = adjoint(U[k]) - alpha * v
-        beta = _orthogonalize(v, V[: k + 1])
+        U[i] = u / alpha
+        v = adjoint(U[i]) - alpha * v
+        beta = _orthogonalize(v, V[: i + 1], passes)
         scale = max(scale, beta)
         if beta <= eps * scale:
             break
         if (k + 1) % LANCZOS_CHECK_EVERY == 0 and k + 1 > S:
-            p, theta, qh = np.linalg.svd(_bidiagonal(alphas, betas))
-            if (beta * np.abs(p[-1, :S]) <= tol * theta[0]).all():
-                return theta, ritz_vectors(p, qh)
+            B = _bidiagonal(alphas, betas)
+            if vectors:
+                p, theta, qh = np.linalg.svd(B)
+                if (beta * np.abs(p[-1, :S]) <= tol * theta[0]).all():
+                    return theta, ritz_vectors(p, qh)
+            else:  # the top pair from the eigenpairs of B B^T
+                w, p = np.linalg.eigh(B @ B.T)
+                if beta * abs(p[-1, -1]) <= tol * np.sqrt(w[-1]):
+                    return np.linalg.svd(B, compute_uv=False), None
         betas.append(beta)
         v /= beta
     else:
@@ -237,14 +255,14 @@ def _golub_kahan(H: HankelOperator, S: int, tol: float) -> tuple[np.ndarray, np.
         return np.zeros(0), np.zeros((rows, 0), H.dtype)
     B = _bidiagonal(alphas, betas)
     p, _, qh = np.linalg.svd(B)
-    return np.linalg.svd(B, compute_uv=False), ritz_vectors(p, qh)
+    return np.linalg.svd(B, compute_uv=False), ritz_vectors(p, qh) if vectors else None
 
 
-def _orthogonalize(w: np.ndarray, Q: np.ndarray) -> float:
+def _orthogonalize(w: np.ndarray, Q: np.ndarray, passes: int) -> float:
     """Remove from w its components along the orthonormal rows of Q; return ||w||."""
-    # Classical Gram-Schmidt, twice: the second pass removes what rounding
-    # left of the first.
-    for _ in range(2):
+    # Classical Gram-Schmidt; a second pass removes what rounding left of the
+    # first.
+    for _ in range(passes):
         w -= (Q @ w.conj()).conj() @ Q
     return float(np.linalg.norm(w))
 
@@ -267,7 +285,6 @@ def _dense_svd(matrix, compute_uv: bool = False):
     a = matrix.toarray() if isinstance(matrix, HankelOperator) else np.asarray(matrix)
     if a.size == 0:
         raise ValueError("matrix is empty")
-    _require_finite(a, a.shape)
     try:
         return np.linalg.svd(a, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
@@ -276,13 +293,15 @@ def _dense_svd(matrix, compute_uv: bool = False):
 
 def sigma_min(matrix) -> float:
     """Smallest singular value."""
-    return float(_dense_svd(matrix).min())
+    a = matrix.toarray() if isinstance(matrix, HankelOperator) else np.asarray(matrix)
+    _require_finite(a, a.shape)
+    return float(_dense_svd(a).min())
 
 
 def spectral_norm(matrix) -> float:
     """Operator 2-norm: the largest singular value (by Golub-Kahan for a HankelOperator)."""
     if isinstance(matrix, HankelOperator):
-        ritz = _golub_kahan(matrix, 1, LANCZOS_TOL)
+        ritz = _golub_kahan(matrix, 0, LANCZOS_TOL)
         if ritz is not None:
             return float(ritz[0].max(initial=0.0))
     return float(_dense_svd(matrix).max())

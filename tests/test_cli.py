@@ -359,6 +359,39 @@ class TestCampaigns:
         assert summary["violations"] == 0
         assert "max_ratio_sup_to_bound" not in summary
 
+    def test_closed_stdout_is_not_an_error(self, tmp_path, capsys, monkeypatch):
+        # `srmusic concentration ... | head -1`: the reader leaves before the
+        # summary is printed. The files are complete, so the exit code is 0,
+        # and stdout is pointed at devnull for the interpreter's last flush.
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            flush = write
+
+            def fileno(self):
+                return self.fd
+
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"kind": "concentration", "M": 30, "L": 15, "sigmas": [1.0], "trials_per_cell": 3}))
+        out = tmp_path / "runs"
+        with open(tmp_path / "stdout", "wb") as stdout:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(stdout.fileno()))
+            code = main(["concentration", "--config", str(cfg_path), "--jobs", "1",
+                         "--out", str(out)])
+            monkeypatch.undo()
+            os.write(stdout.fileno(), b"after")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "stdout").read_bytes() == b""
+        (run,) = out.iterdir()
+        assert sorted(p.name for p in run.iterdir()) == [
+            "concentration.csv", "concentration_summary.json", "config.json", "manifest.json"]
+
     @pytest.mark.parametrize("subcommand, config, headlines", [
         ("bounds-sweep",
          {"kind": "upper-bound-sweep", "S": 3, "alphas": [0.09, 0.06, 0.04, 0.03],

@@ -2,6 +2,7 @@ import itertools
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,18 @@ class TestLanczosPath:
         dense = np.linalg.svd(H.toarray(), compute_uv=False)
         np.testing.assert_allclose(ritz[0], dense, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("M, L", [(20, 10), (21, 10), (21, 11)])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_exhausted_krylov_space_norm(self, M, L, real):
+        # The values-only twin of the test above. Without stored bases the
+        # recurrence need not see the space run out; then the step cap of
+        # the shorter side sends the norm to the dense SVD.
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=M + 1) + (0.0 if real else 1j) * rng.normal(size=M + 1)
+        H = HankelOperator(y, L)
+        dense = np.linalg.norm(H.toarray(), 2)
+        assert spectral_norm(H) == pytest.approx(dense, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("y", [np.zeros(2001), np.zeros(2001, dtype=complex)],
                              ids=["real", "complex"])
     def test_zero_data_has_norm_zero(self, y):
@@ -290,19 +303,20 @@ class TestLanczosPath:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_data_raises(self, bad, capfd):
-        # One message from every path, and no LAPACK complaint on stderr.
-        calls = (spectral_norm, lambda H: svd_split(H, 1), sigma_min)
-        for M, operator in ((200, False), (2000, True)):
+        # One message, from hankel on either side of the cutoff, from the
+        # operator itself and from sigma_min on the formed matrix, and no
+        # LAPACK complaint on stderr.
+        for M in (200, 2000):
             y = np.ones(M + 1)
             y[7] = bad
-            with np.errstate(invalid="ignore"):
-                H = hankel(y, M // 2)
-            assert isinstance(H, HankelOperator) == operator
             side = M // 2 + 1
+            formed = y[np.arange(side)[:, None] + np.arange(side)[None, :]]
+            calls = (lambda: hankel(y, M // 2), lambda: HankelOperator(y, M // 2),
+                     lambda: sigma_min(formed))
             for call in calls:
                 with pytest.raises(np.linalg.LinAlgError,
-                                   match=rf"SVD failed on a \({side}, {side}\) matrix"):
-                    call(H)
+                                   match=rf"SVD failed on a \({side}, {side}\) matrix: non-finite"):
+                    call()
         assert capfd.readouterr().err == ""
 
     def test_step_cap_falls_back_to_dense(self, monkeypatch):
@@ -318,6 +332,44 @@ class TestLanczosPath:
         steps = count_calls(H, "rmatvec")
         spectral_norm(H)
         assert steps() == 28
+
+    @pytest.mark.parametrize("kind, seed, L", [
+        *(("real", seed, 1000) for seed in range(10)),
+        *(("complex-circular", seed, 1000) for seed in range(5)),
+        ("real", 0, 1200), ("complex-circular", 0, 800),
+        ("signal-real", 7, 1000), ("signal-complex", 7, 1000),
+    ])
+    def test_norm_without_stored_bases_matches_dense(self, monkeypatch, kind, seed, L):
+        # The bare recurrence at M = 2000: square, tall (1201 x 801) and wide
+        # (801 x 1201), noise alone and signal plus sigma = 1e-3 noise. None
+        # may fall back to the dense SVD.
+        M = 2000
+        if kind.startswith("signal"):
+            y = measurements(seed, M, 4, 1e-3, real=kind == "signal-real")
+        else:
+            y = draw_noise(np.random.default_rng(seed), 1.0, kind, M)
+        H = hankel(y, L)
+        A = H.toarray()  # complex-typed for real noise, which draw_noise stores so
+        dense = np.linalg.norm(A.real if H.dtype == float else A, 2)
+
+        def no_dense_svd(*args, **kwargs):
+            raise AssertionError("spectral_norm fell back to the dense SVD")
+
+        monkeypatch.setattr(fourier, "_dense_svd", no_dense_svd)
+        assert spectral_norm(H) == pytest.approx(dense, rel=1e-14, abs=0)
+
+    def test_norm_memory_is_a_few_vectors(self):
+        # No stored bases: one norm at M = 8000 holds a few length-8192
+        # vectors (0.31 MB traced), where stored bases took 7.3 MB.
+        H = hankel(draw_noise(np.random.default_rng(0), 1.0, "real", 8000), 4000)
+        spectral_norm(H)
+        tracemalloc.start()
+        try:
+            spectral_norm(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("n", [401, 402, 403, 404, 500])
     @pytest.mark.parametrize("real", [True, False])
